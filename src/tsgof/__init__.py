@@ -15,10 +15,7 @@ from .errors import (
 )
 from .mathcore import (
     RngStream,
-    draw_beta,
     draw_gamma,
-    draw_standard_normal,
-    draw_uniform_sphere,
     log_gamma,
     unit_ball_volume,
 )
@@ -32,7 +29,6 @@ from .linalg import (
 )
 from .distributions import (
     GGParams,
-    ModelSpec,
     QGaussianParams,
     gg_covariance,
     gg_log_pdf,
@@ -41,8 +37,6 @@ from .distributions import (
     gg_sample,
     gg_tsallis_entropy,
     gg_variance_scale,
-    q_exponential,
-    q_logarithm,
     qgauss_covariance,
     qgauss_covariance_factor,
     qgauss_log_pdf,
@@ -74,7 +68,6 @@ from .harness import (
     CriticalValueTable,
     ExperimentConfig,
     GridBlock,
-    deterministic_map,
     load_config,
     parse_config,
     run_consistency_curves,

@@ -34,10 +34,6 @@ from .mathcore import RngStream, draw_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Points whose support bracket rounds to <= 0 count as outside; this avoids
-# NaNs from boundary rounding on the compact branch.
-_SUPPORT_EPS = 0.0
-
 
 def _as_location(vec, m: int, name: str) -> np.ndarray:
     if vec is None:
@@ -111,53 +107,6 @@ class QGaussianParams:
         if not self.q > 1:
             raise DomainError("nu is defined only for q > 1")
         return 2.0 / (self.q - 1.0) - self.m
-
-    @property
-    def has_covariance(self) -> bool:
-        """True when the covariance matrix exists (always for q <= 1)."""
-        return self.q <= 1 or self.q < 1.0 + 2.0 / (self.m + 2.0)
-
-
-ROLE_HEAVY = "t1"  # heavy-tail null branch, q in (1, 3)
-ROLE_COMPACT = "t2"  # compact-support null branch, q in (0, 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ModelSpec:
-    """One of the null families with its parameter record and role tag."""
-
-    family: str  # "gg" | "qgauss"
-    params: object
-    role: str = "free"  # "t1" | "t2" | "free"
-
-    def __post_init__(self):
-        if self.family == "gg":
-            if not isinstance(self.params, GGParams):
-                raise DomainError("family 'gg' requires GGParams")
-            if self.role != "free":
-                raise DomainError("role tags t1/t2 apply to q-Gaussian nulls only")
-        elif self.family == "qgauss":
-            if not isinstance(self.params, QGaussianParams):
-                raise DomainError("family 'qgauss' requires QGaussianParams")
-            q = self.params.q
-            if self.role == ROLE_HEAVY and not (1.0 < q < 3.0):
-                raise DomainError(f"role t1 requires q in (1, 3), got q={q}")
-            if self.role == ROLE_COMPACT and not (0.0 < q < 1.0):
-                raise DomainError(f"role t2 requires q in (0, 1), got q={q}")
-            if self.role not in (ROLE_HEAVY, ROLE_COMPACT, "free"):
-                raise DomainError(f"unknown role {self.role!r}")
-        else:
-            raise DomainError(f"unknown family {self.family!r}")
-
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        if self.family == "gg":
-            return gg_sample(self.params, n, rng)
-        return qgauss_sample(self.params, n, rng)
-
-    def log_pdf(self, x) -> float:
-        if self.family == "gg":
-            return gg_log_pdf(x, self.params)
-        return qgauss_log_pdf(x, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +204,6 @@ def gg_covariance(params: GGParams) -> SymPDMatrix:
 
 
 # ---------------------------------------------------------------------------
-# q-exponential / q-logarithm
-# ---------------------------------------------------------------------------
-
-
-def q_exponential(x: float, q: float) -> float:
-    """[1 + (1-q) x]_+^(1/(1-q)); the ordinary exponential at q = 1."""
-    if q == 1:
-        return math.exp(x)
-    bracket = 1.0 + (1.0 - q) * x
-    if bracket <= _SUPPORT_EPS:
-        return 0.0
-    return bracket ** (1.0 / (1.0 - q))
-
-
-def q_logarithm(y: float, q: float) -> float:
-    """(y^(1-q) - 1)/(1-q) for y > 0; inverse of q_exponential on its range."""
-    if not (y > 0):
-        raise DomainError(f"q_logarithm requires y > 0, got {y!r}")
-    if q == 1:
-        return math.log(y)
-    return math.expm1((1.0 - q) * math.log(y)) / (1.0 - q)
-
-
-# ---------------------------------------------------------------------------
 # q-Gaussian family
 # ---------------------------------------------------------------------------
 
@@ -334,7 +259,7 @@ def qgauss_log_pdf(x, params: QGaussianParams) -> float:
     if q == 1:
         return log_c - 0.5 * h
     bracket = 1.0 - 0.5 * (1.0 - q) * h
-    if bracket <= _SUPPORT_EPS:
+    if bracket <= 0.0:
         return -math.inf
     return log_c + math.log(bracket) / (1.0 - q)
 

@@ -1,24 +1,22 @@
 """Tsallis goodness-of-fit statistics and the decision procedure.
 
-The statistic compares the largest Tsallis entropy attainable under the
-null family at the plug-in sample covariance with the nearest-neighbor
-entropy estimate:
+The statistic compares the order-q Tsallis entropy of the null family
+member whose covariance equals the plug-in sample covariance with the
+nearest-neighbor entropy estimate:
 
     Q = H_q(null member with covariance = sample covariance) - h_hat.
 
-q-Gaussians maximize order-q Tsallis entropy under a covariance
-constraint, so under the null Q converges to 0 and under alternatives to
-a positive constant; the test rejects for large Q against a Monte Carlo
-critical value (upper one-sided).
+Under the null Q converges to 0; the test rejects for large Q against a
+Monte Carlo critical value (upper one-sided). The index-q member does not
+maximize order-q entropy under a covariance constraint: at identity
+covariance and m = 2, H_0.5 is 6.683 for the t2 null, 8.027 for the
+Gaussian and 9.578 for the Laplace-type generalized Gaussian (s = 1). So Q
+can be negative under an alternative, and the test then does not reject
+it.
 
-Two null branches are supported: 't1', the heavy-tailed q-Gaussian with
-q in (1, 3) (additionally requiring q < 1 + 2/(m+2) so the covariance
-bridge exists), and 't2', the compact-support q-Gaussian with q in (0, 1).
-
-For diagnostics, `null_max_entropy` also offers an 'additive' convention
-that bolts half the log-determinant of the covariance onto the entropy of
-the unit-covariance member, Shannon-style. It is not consistent with the
-order-q entropy scaling and is excluded from the decision procedure.
+Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
+'t2', the compact-support q-Gaussian. `infeasibility_reason` is the one
+feasibility rule for both.
 """
 
 from dataclasses import dataclass
@@ -57,64 +55,63 @@ class TestResult:
     reject: bool | None = None
 
 
-def check_family_feasible(family: str, m: int, q: float) -> None:
-    """Raise unless (family, m, q) admits both sampling and the statistic."""
+def infeasibility_reason(
+    family: str, q: float, m: int, k: int | None = None, n: int | None = None, bridge: bool = True
+) -> str | None:
+    """Why the (family, q, m) null cannot serve the test, or None if it can.
+
+    Sampling needs q in (0, 1) for t2, and q in (1, 3) with q < 1 + 2/m
+    (normalizability) for t1. Given k and n, the neighbor estimator also
+    needs q < k + 1 and N > k. With bridge, the statistic also needs the
+    covariance, which for t1 exists only for q < 1 + 2/(m+2). The first
+    violated bound is named; harness manifests record these strings.
+    """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r} (expected 't1' or 't2')")
-    if family == "t2":
-        if not (0.0 < q < 1.0):
-            raise InfeasibleModelError(f"family t2 requires q in (0, 1), got q={q}")
-        return
-    if not (1.0 < q < 3.0):
-        raise InfeasibleModelError(f"family t1 requires q in (1, 3), got q={q}")
-    if not q < 1.0 + 2.0 / m:
-        raise InfeasibleModelError(
-            f"family t1 with q={q} is not normalizable in dimension m={m}: "
-            f"requires q < 1 + 2/m = {1.0 + 2.0 / m}"
+    if family == "t2" and not (0.0 < q < 1.0):
+        return f"family t2 requires q in (0, 1), got q={q}"
+    if family == "t1" and not (1.0 < q < 3.0):
+        return f"family t1 requires q in (1, 3), got q={q}"
+    if family == "t1" and not q < 1.0 + 2.0 / m:
+        return f"not normalizable: requires q < 1 + 2/m = {1.0 + 2.0 / m} for m={m}, got q={q}"
+    if k is not None and not q < k + 1:
+        return f"estimator requires q < k + 1 = {k + 1}, got q={q}"
+    if k is not None and not n > k:
+        return f"estimator requires N > k, got N={n}, k={k}"
+    if bridge and family == "t1" and not q < 1.0 + 2.0 / (m + 2.0):
+        return (
+            f"covariance bridge requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)} "
+            f"for m={m}, got q={q}"
         )
-    if not q < 1.0 + 2.0 / (m + 2.0):
-        raise InfeasibleModelError(
-            f"family t1 with q={q} has no covariance in dimension m={m}: "
-            f"requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)}"
-        )
+    return None
 
 
-def null_max_entropy(
-    sample_cov: SymPDMatrix, m: int, q: float, family: str, convention: str = "tsallis"
-) -> float:
-    """Largest Tsallis entropy under the null family at the given covariance.
+def require_feasible(
+    family: str, q: float, m: int, k: int | None = None, n: int | None = None, bridge: bool = True
+) -> None:
+    """Raise InfeasibleModelError naming the bound that infeasibility_reason finds."""
+    reason = infeasibility_reason(family, q, m, k, n, bridge)
+    if reason:
+        raise InfeasibleModelError(reason)
 
-    The default convention evaluates the closed-form entropy of the family
-    member whose covariance equals sample_cov (via the covariance/shape
-    bridge). convention='additive' is the Shannon-style diagnostic form.
-    """
-    check_family_feasible(family, m, q)
+
+def null_max_entropy(sample_cov: SymPDMatrix, m: int, q: float, family: str) -> float:
+    """Tsallis entropy of the null family member whose covariance equals
+    sample_cov (via the covariance/shape bridge), in closed form."""
+    require_feasible(family, q, m)
     if not isinstance(sample_cov, SymPDMatrix):
         sample_cov = SymPDMatrix(sample_cov)
     if sample_cov.dim != m:
         raise DomainError(f"covariance is {sample_cov.dim}x{sample_cov.dim}, expected m={m}")
-    if convention == "tsallis":
-        shape = qgauss_shape_from_covariance(sample_cov, m, q)
-        return qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=shape))
-    if convention == "additive":
-        unit_shape = qgauss_shape_from_covariance(SymPDMatrix.identity(m), m, q)
-        return 0.5 * sample_cov.log_det + qgauss_tsallis_entropy(
-            QGaussianParams(m=m, q=q, sigma=unit_shape)
-        )
-    raise DomainError(f"unknown convention {convention!r} (expected 'tsallis' or 'additive')")
-
-
-def null_model(m: int, q: float, family: str) -> QGaussianParams:
-    """The standard null member used for on-the-fly critical-value simulation."""
-    check_family_feasible(family, m, q)
-    return QGaussianParams(m=m, q=q)
+    shape = qgauss_shape_from_covariance(sample_cov, m, q)
+    return qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=shape))
 
 
 def gof_statistic(x, k: int, q: float, family: str, engine: str = "tree") -> TestResult:
     """The raw test statistic, without a critical value."""
     a = as_sample_matrix(x)
     n, m = a.shape
-    check_family_feasible(family, m, q)
+    require_feasible(family, q, m, k, n)
     _, cov = sample_mean_cov(a)
     upper = null_max_entropy(cov, m, q, family)
     estimate = tsallis_knn_estimate(a, k, q, engine=engine)
@@ -173,6 +170,22 @@ def run_test(
     )
 
 
+def null_statistics(
+    n: int, m: int, k: int, q: float, family: str, streams, engine: str = "tree"
+) -> np.ndarray:
+    """The statistic of one standard null draw of size n per RngStream in
+    streams: the replicate loop of simulated critical values and of the
+    harness's statistic experiments."""
+    require_feasible(family, q, m, k, n)
+    params = QGaussianParams(m=m, q=q)
+    return np.array(
+        [
+            gof_statistic(qgauss_sample(params, n, rng), k, q, family, engine=engine).statistic
+            for rng in streams
+        ]
+    )
+
+
 def simulate_critical_value(
     n: int,
     m: int,
@@ -185,10 +198,6 @@ def simulate_critical_value(
     engine: str = "tree",
 ) -> float:
     """Upper (1-alpha) empirical quantile of the null statistic distribution."""
-    params = null_model(m, q, family)
-    stats = np.empty(replications)
-    for j in range(replications):
-        child = rng.child(j)
-        draw = qgauss_sample(params, n, child)
-        stats[j] = gof_statistic(draw, k, q, family, engine=engine).statistic
+    streams = (rng.child(j) for j in range(replications))
+    stats = null_statistics(n, m, k, q, family, streams, engine)
     return empirical_quantile(stats, 1.0 - alpha)

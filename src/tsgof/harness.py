@@ -6,9 +6,10 @@ Determinism contract
 Output bytes are a pure function of (config, master_seed). Every atomic
 simulation task owns an RngStream whose index is derived from its position
 in the row-major cell enumeration (cell_index * reps_per_cell + rep), so
-worker count and scheduling never change results. Completed per-cell
-results are cached under `<out>/.cells/<config-hash>/` and reruns
-recompute only missing cells before reassembling byte-identical files.
+worker count and scheduling never change results. Each per-cell result
+is cached under `<out>/.cells/<config-hash>/` as soon as it arrives, and
+reruns recompute only missing or unreadable cells before reassembling
+byte-identical files.
 
 Result files (CSV, UTF-8, comma-separated, '.' decimal, header mandatory)
 ----------------------------------------------------------------------
@@ -31,23 +32,27 @@ the toolkit version.
 
 import hashlib
 import json
+import logging
 import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import __version__
 from .errors import ConfigError, DomainError
 from .distributions import QGaussianParams, qgauss_sample, qgauss_tsallis_entropy
 from .entropy import tsallis_knn_estimate
-from .gof import gof_statistic, null_model
+from .gof import FAMILIES, infeasibility_reason, null_statistics
 from .mathcore import RngStream
 from .statkit import empirical_quantile, ols_slope_with_offset, shapiro_wilk
+
+logger = logging.getLogger(__name__)
 
 KINDS = (
     "critical-values",
@@ -89,7 +94,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r} (expected one of {KINDS})")
-        if self.family not in ("t1", "t2"):
+        if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r} (expected 't1' or 't2')")
         if not self.grids:
             raise ConfigError("at least one [grid] block is required")
@@ -237,49 +242,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# feasibility
-# ---------------------------------------------------------------------------
-
-
-def sampling_reason(family: str, q: float, m: int) -> str | None:
-    """Why (family, q, m) cannot be sampled, or None if it can."""
-    if family == "t2":
-        if not (0.0 < q < 1.0):
-            return f"family t2 requires q in (0, 1), got q={q}"
-        return None
-    if not (1.0 < q < 3.0):
-        return f"family t1 requires q in (1, 3), got q={q}"
-    if not q < 1.0 + 2.0 / m:
-        return f"not normalizable: requires q < 1 + 2/m = {1.0 + 2.0 / m} for m={m}, got q={q}"
-    return None
-
-
-def estimate_reason(family: str, q: float, m: int, k: int, n: int) -> str | None:
-    """Feasibility of sampling plus the neighbor estimator at (k, N)."""
-    reason = sampling_reason(family, q, m)
-    if reason:
-        return reason
-    if not q < k + 1:
-        return f"estimator requires q < k + 1 = {k + 1}, got q={q}"
-    if not n > k:
-        return f"estimator requires N > k, got N={n}, k={k}"
-    return None
-
-
-def statistic_reason(family: str, q: float, m: int, k: int, n: int) -> str | None:
-    """Feasibility of the full test statistic (adds the covariance bridge)."""
-    reason = estimate_reason(family, q, m, k, n)
-    if reason:
-        return reason
-    if family == "t1" and not q < 1.0 + 2.0 / (m + 2.0):
-        return (
-            f"covariance bridge requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)} "
-            f"for m={m}, got q={q}"
-        )
-    return None
-
-
-# ---------------------------------------------------------------------------
 # critical-value table
 # ---------------------------------------------------------------------------
 
@@ -405,15 +367,9 @@ def _plan(config: ExperimentConfig) -> list[_Task]:
 
 def _null_statistics(config: ExperimentConfig, task: _Task, count: int, offset: int = 0):
     """count null statistics for the task's cell, one stream per replication."""
-    params = null_model(task.m, task.q, config.family)
-    stats = np.empty(count)
-    for r in range(count):
-        rng = RngStream(config.master_seed, task.stream_base + offset + r)
-        draw = qgauss_sample(params, task.n, rng)
-        stats[r] = gof_statistic(
-            draw, task.k, task.q, config.family, engine=config.engine
-        ).statistic
-    return stats
+    base = task.stream_base + offset
+    streams = (RngStream(config.master_seed, base + r) for r in range(count))
+    return null_statistics(task.n, task.m, task.k, task.q, config.family, streams, config.engine)
 
 
 def _histogram_rows(values: np.ndarray, with_log: bool = False):
@@ -438,7 +394,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
     seed = config.master_seed
 
     if kind == "critical-values":
-        reason = statistic_reason(config.family, q, m, k, n)
+        reason = infeasibility_reason(config.family, q, m, k, n)
         if reason:
             row = [q, m, k, n, config.alpha, "infeasible", m_out, seed]
             return {"critical_values.csv": [row], "reason": reason}
@@ -447,7 +403,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
         return {"critical_values.csv": [[q, m, k, n, config.alpha, crit, m_out, seed]]}
 
     if kind == "normality-sweep":
-        reason = statistic_reason(config.family, q, m, k, n)
+        reason = infeasibility_reason(config.family, q, m, k, n)
         n_in = config.inner_batch
         if reason:
             row = [q, m, k, n, "infeasible", m_out, n_in, seed]
@@ -459,7 +415,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
         return {"normality.csv": [[q, m, k, n, float(np.mean(p_values)), m_out, n_in, seed]]}
 
     if kind == "convergence":
-        reason = statistic_reason(config.family, q, m, k, n)
+        reason = infeasibility_reason(config.family, q, m, k, n)
         if reason:
             row = [q, m, k, n, "infeasible", "infeasible", m_out, seed]
             return {"convergence.csv": [row], "reason": reason}
@@ -473,7 +429,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
         }
 
     if kind == "consistency-curves":
-        reason = estimate_reason(config.family, q, m, k, n)
+        reason = infeasibility_reason(config.family, q, m, k, n, bridge=False)
         if reason:
             row = [q, m, k, n, "infeasible", "infeasible", "infeasible", m_out, seed]
             return {"consistency.csv": [row], "reason": reason}
@@ -490,7 +446,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
 
     if kind == "distribution-shape":
         if task.role == "density":
-            reason = sampling_reason(config.family, q, m)
+            reason = infeasibility_reason(config.family, q, m, bridge=False)
             if reason:
                 row = [q, m, config.draws, "infeasible", "infeasible", "infeasible", "infeasible", seed]
                 return {"shape_sample_density.csv": [row], "reason": reason}
@@ -501,7 +457,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
                 for r in _histogram_rows(draws[:, 0], with_log=True)
             ]
             return {"shape_sample_density.csv": rows}
-        reason = statistic_reason(config.family, q, m, k, n)
+        reason = infeasibility_reason(config.family, q, m, k, n)
         if reason:
             marker = [q, m, k, n, "infeasible", "infeasible", m_out, seed]
             return {"shape_statistics.csv": [marker], "reason": reason}
@@ -511,7 +467,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
         mean = float(np.mean(stats))
         std = float(np.std(stats, ddof=1))
         standardized = np.sort((stats - mean) / std)
-        quantiles = norm.ppf((np.arange(1, m_out + 1) - 0.5) / m_out)
+        quantiles = ndtri((np.arange(1, m_out + 1) - 0.5) / m_out)
         qq_rows = [
             [q, m, k, n, i + 1, float(s), float(t), m_out, seed]
             for i, (s, t) in enumerate(zip(standardized, quantiles))
@@ -530,43 +486,50 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _call_compute(args):
-    config, task = args
-    return _compute_task(config, task)
+def _ordered_map(fn, items, workers: int):
+    """Yield fn(item) in item order, optionally computed across processes."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
-def deterministic_map(fn, items, workers: int = 1, chunksize: int = 1):
+def deterministic_map(fn, items, workers: int = 1) -> list:
     """Order-preserving map, optionally across processes; results do not
     depend on the worker count."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    return list(_ordered_map(fn, items, workers))
+
+
+def _read_cell(cache_file: Path) -> dict | None:
+    """A cached cell result, or None when the file is missing or unreadable."""
+    try:
+        return json.loads(cache_file.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        logger.warning("recomputing unreadable cell file %s: %s", cache_file, exc)
+        return None
 
 
 def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
+    """Each task's result in plan order; with a cache_dir, cached cells are
+    reused and each computed cell is written as soon as it arrives."""
     tasks = _plan(config)
     results: dict[int, dict] = {}
-    pending = []
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         for task in tasks:
-            cache_file = cache_dir / f"task-{task.index:06d}.json"
-            if cache_file.exists():
-                results[task.index] = json.loads(cache_file.read_text(encoding="utf-8"))
-            else:
-                pending.append(task)
-    else:
-        pending = tasks
-    if pending:
-        computed = deterministic_map(
-            _call_compute, [(config, t) for t in pending], workers=workers
-        )
-        for task, result in zip(pending, computed):
-            results[task.index] = result
-            if cache_dir is not None:
-                payload = json.dumps(result)
-                _write_atomic(cache_dir / f"task-{task.index:06d}.json", payload)
+            cached = _read_cell(cache_dir / f"task-{task.index:06d}.json")
+            if cached is not None:
+                results[task.index] = cached
+    pending = [t for t in tasks if t.index not in results]
+    computed = _ordered_map(partial(_compute_task, config), pending, workers)
+    # computed leads the zip, so the pool closes right after the last result
+    for result, task in zip(computed, pending):
+        results[task.index] = result
+        if cache_dir is not None:
+            _write_atomic(cache_dir / f"task-{task.index:06d}.json", json.dumps(result))
     return tasks, [results[t.index] for t in tasks]
 
 

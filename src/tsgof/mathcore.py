@@ -74,13 +74,6 @@ def unit_ball_volume(m: int) -> float:
     return float(math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)))
 
 
-def draw_standard_normal(rng: RngStream, n: int) -> np.ndarray:
-    """n independent standard normal variates."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return rng.generator.standard_normal(n)
-
-
 def draw_gamma(rng: RngStream, shape: float, size=None):
     """Gamma(shape, scale=1) variates.
 
@@ -97,22 +90,3 @@ def draw_gamma(rng: RngStream, shape: float, size=None):
         u = gen.random(size)
         out = boosted * u ** (1.0 / shape)
     return float(out) if size is None else out
-
-
-def draw_beta(rng: RngStream, a: float, b: float, size=None):
-    """Beta(a, b) variates."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta parameters must be positive, got a={a!r}, b={b!r}")
-    out = rng.generator.beta(a, b, size=size)
-    return float(out) if size is None else out
-
-
-def draw_uniform_sphere(rng: RngStream, m: int) -> np.ndarray:
-    """A vector uniform on the unit sphere in R^m (normalized Gaussian)."""
-    if int(m) != m or m < 1:
-        raise DomainError(f"dimension must be a positive integer, got {m!r}")
-    while True:
-        v = rng.generator.standard_normal(int(m))
-        norm = math.sqrt(float(v @ v))
-        if norm > 0.0:
-            return v / norm

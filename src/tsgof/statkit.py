@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateSampleError, DomainError
 
@@ -52,7 +52,7 @@ def shapiro_wilk(sample) -> ShapiroResult:
         raise DegenerateSampleError("constant sample: W is undefined")
 
     # Expected normal order statistics (Blom-type plotting positions).
-    m = norm.ppf((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     ssq = float(m @ m)
 
     a = np.empty(n)
@@ -99,7 +99,7 @@ def shapiro_wilk(sample) -> ShapiroResult:
         ln_n = math.log(n)
         mu = _poly(_C5, ln_n)
         sd = math.exp(_poly(_C6, ln_n))
-    p = float(norm.sf((y - mu) / sd))
+    p = float(ndtr((mu - y) / sd))
     return ShapiroResult(w=w, p_value=p, n=n)
 
 

@@ -23,6 +23,10 @@ N = 60
 """
 
 
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -253,6 +257,20 @@ class TestExperimentCommands:
         assert code == 0
         assert (tmp_path / "cc" / "consistency.csv").exists()
 
+    def test_unreadable_cell_file_recomputed(self, capsys, tmp_path, caplog):
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG.replace("N = 60", "N = 60 80"))
+        args = ["critical-values", "--config", str(cfg), "--workers", "1", "--out"]
+        clean, run = tmp_path / "clean", tmp_path / "run"
+        assert run_cli(args + [str(clean)], capsys)[0] == 0
+        assert run_cli(args + [str(run)], capsys)[0] == 0
+        (cell,) = run.glob(".cells/*/task-000001.json")
+        cell.write_bytes(cell.read_bytes()[:10])
+        code, _, _ = run_cli(args + [str(run)], capsys)
+        assert code == 0
+        assert "unreadable cell file" in caplog.text
+        assert tree_bytes(run) == tree_bytes(clean)
+
 
 class TestEntryPoint:
     def test_console_script_installed(self):
@@ -261,6 +279,13 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "sample" in result.stdout
+
+    def test_import_leaves_out_scipy_stats(self):
+        code = "import sys, tsgof.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_read_matrix_rejects_empty(self, tmp_path):
         empty = tmp_path / "e.csv"

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats as sps
 
 from oracles import pdf_power_integral_quadrature, radial_cdf_from_log_pdf
 from tsgof.errors import DomainError, InfeasibleModelError
 from tsgof.distributions import (
     GGParams,
-    ModelSpec,
     QGaussianParams,
     gg_covariance,
     gg_log_pdf,
@@ -19,8 +16,6 @@ from tsgof.distributions import (
     gg_sample,
     gg_tsallis_entropy,
     gg_variance_scale,
-    q_exponential,
-    q_logarithm,
     qgauss_covariance,
     qgauss_covariance_factor,
     qgauss_log_pdf,
@@ -173,30 +168,6 @@ class TestGGTsallisEntropy:
         assert large > small
 
 
-class TestQExponential:
-    def test_at_zero(self):
-        for q in (0.0, 0.5, 1.0, 2.0, 3.0):
-            assert q_exponential(0.0, q) == 1.0
-
-    def test_hand_values(self):
-        assert q_exponential(1.0, 0.5) == pytest.approx(2.25, rel=1e-14)
-        assert q_exponential(-2.0, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_cutoff(self):
-        assert q_exponential(-3.0, 0.5) == 0.0
-
-    def test_q_one_is_exp(self):
-        assert q_exponential(1.7, 1.0) == math.exp(1.7)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.floats(0.01, 10.0),
-        st.floats(-2.0, 3.0).filter(lambda q: abs(q - 1.0) > 1e-3),
-    )
-    def test_inverts_q_logarithm(self, y, q):
-        assert q_exponential(q_logarithm(y, q), q) == pytest.approx(y, rel=1e-9)
-
-
 class TestQGaussianParams:
     def test_rejects_non_normalizable(self):
         with pytest.raises(InfeasibleModelError) as err:
@@ -210,9 +181,9 @@ class TestQGaussianParams:
     def test_nu_and_covariance_flag(self):
         p = QGaussianParams(m=2, q=1.2)
         assert p.nu == pytest.approx(8.0, rel=1e-12)
-        assert p.has_covariance
-        heavy = QGaussianParams(m=2, q=1.6)
-        assert not heavy.has_covariance
+        assert qgauss_covariance(p).dim == 2
+        with pytest.raises(InfeasibleModelError):
+            qgauss_covariance(QGaussianParams(m=2, q=1.6))
 
     def test_gaussian_limit_allowed(self):
         p = QGaussianParams(m=3, q=1.0)
@@ -400,19 +371,3 @@ class TestClosedFormProperties:
             m=2, q=1.2, sigma=SymPDMatrix(np.eye(2) / 12.0 / cov_factor)
         )
         assert qgauss_tsallis_entropy(member) > tsallis_entropy_uniform(1.0, 1.2)
-
-
-class TestModelSpec:
-    def test_role_validation(self):
-        ModelSpec("qgauss", QGaussianParams(m=1, q=1.2), role="t1")
-        ModelSpec("qgauss", QGaussianParams(m=1, q=0.5), role="t2")
-        with pytest.raises(DomainError):
-            ModelSpec("qgauss", QGaussianParams(m=1, q=0.5), role="t1")
-        with pytest.raises(DomainError):
-            ModelSpec("gg", GGParams(m=1, s=2.0), role="t2")
-
-    def test_dispatch(self):
-        spec = ModelSpec("gg", GGParams(m=2, s=2.0))
-        draws = spec.sample(10, RngStream(37, 0))
-        assert draws.shape == (10, 2)
-        assert np.isfinite(spec.log_pdf(draws[0]))

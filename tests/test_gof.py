@@ -7,9 +7,10 @@ from tsgof.errors import ConfigError, DomainError, InfeasibleModelError
 from tsgof.distributions import QGaussianParams, qgauss_sample
 from tsgof.gof import (
     TestResult,
-    check_family_feasible,
     gof_statistic,
+    infeasibility_reason,
     null_max_entropy,
+    require_feasible,
     run_test,
 )
 from tsgof.harness import CriticalValueRow, CriticalValueTable
@@ -23,26 +24,63 @@ def null_draws(n, seed, stream=0, q=1.2, m=2):
     return qgauss_sample(QGaussianParams(m=m, q=q), n, RngStream(seed, stream))
 
 
+# (family, q, m, k, N, bridge, reason): every bound of every stage, sampling
+# (no k, no bridge), estimator (k and N, no bridge) and statistic (bridge)
+FEASIBILITY_TABLE = [
+    ("t2", 0.5, 2, None, None, False, None),
+    ("t2", 0.0, 2, None, None, False, "family t2 requires q in (0, 1), got q=0.0"),
+    ("t2", 1.2, 2, None, None, False, "family t2 requires q in (0, 1), got q=1.2"),
+    ("t1", 1.2, 2, None, None, False, None),
+    ("t1", 0.9, 2, None, None, False, "family t1 requires q in (1, 3), got q=0.9"),
+    ("t1", 3.0, 1, None, None, False, "family t1 requires q in (1, 3), got q=3.0"),
+    ("t1", 2.0, 2, None, None, False,
+     "not normalizable: requires q < 1 + 2/m = 2.0 for m=2, got q=2.0"),
+    ("t1", 1.5, 2, 1, 100, False, None),
+    ("t1", 2.5, 1, 1, 100, False, "estimator requires q < k + 1 = 2, got q=2.5"),
+    ("t2", 0.5, 1, 5, 5, False, "estimator requires N > k, got N=5, k=5"),
+    ("t1", 2.5, 2, 1, 1, False,
+     "not normalizable: requires q < 1 + 2/m = 2.0 for m=2, got q=2.5"),
+    ("t1", 1.2, 2, 1, 100, True, None),
+    ("t2", 0.9, 3, 1, 100, True, None),
+    ("t1", 1.5, 2, 1, 100, True,
+     "covariance bridge requires q < 1 + 2/(m+2) = 1.5 for m=2, got q=1.5"),
+    ("t1", 1.45, 3, None, None, True,
+     "covariance bridge requires q < 1 + 2/(m+2) = 1.4 for m=3, got q=1.45"),
+    ("t1", 2.5, 1, 1, 100, True, "estimator requires q < k + 1 = 2, got q=2.5"),
+]
+
+
 class TestFamilyFeasibility:
     def test_t1_bounds(self):
-        check_family_feasible("t1", m=2, q=1.2)
+        require_feasible("t1", 1.2, 2)
         with pytest.raises(InfeasibleModelError):
-            check_family_feasible("t1", m=2, q=0.9)
+            require_feasible("t1", 0.9, 2)
         with pytest.raises(InfeasibleModelError) as err:
-            check_family_feasible("t1", m=2, q=2.5)
+            require_feasible("t1", 2.5, 2)
         assert "1 + 2/m" in str(err.value)
         with pytest.raises(InfeasibleModelError) as err:
-            check_family_feasible("t1", m=2, q=1.7)
+            require_feasible("t1", 1.7, 2)
         assert "1 + 2/(m+2)" in str(err.value)
 
     def test_t2_bounds(self):
-        check_family_feasible("t2", m=3, q=0.5)
+        require_feasible("t2", 0.5, 3)
         with pytest.raises(InfeasibleModelError):
-            check_family_feasible("t2", m=3, q=1.2)
+            require_feasible("t2", 1.2, 3)
+
+    def test_reason_table(self):
+        for *case, expected in FEASIBILITY_TABLE:
+            assert infeasibility_reason(*case) == expected, case
+            if expected is None:
+                require_feasible(*case)
+                continue
+            with pytest.raises(InfeasibleModelError) as err:
+                require_feasible(*case)
+            assert str(err.value) == expected
 
     def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            check_family_feasible("t3", m=1, q=0.5)
+        with pytest.raises(DomainError) as err:
+            require_feasible("t3", 0.5, 1)
+        assert not isinstance(err.value, InfeasibleModelError)
 
 
 class TestNullMaxEntropy:
@@ -66,19 +104,6 @@ class TestNullMaxEntropy:
     def test_infeasible_q_names_bound(self):
         with pytest.raises(InfeasibleModelError):
             null_max_entropy(SymPDMatrix.identity(2), 2, 2.5, "t1")
-
-    def test_additive_convention_differs(self):
-        cov = SymPDMatrix(2.0 * np.eye(2))
-        tsallis = null_max_entropy(cov, 2, 1.2, "t1")
-        additive = null_max_entropy(cov, 2, 1.2, "t1", convention="additive")
-        assert tsallis != pytest.approx(additive, abs=1e-6)
-
-    def test_additive_convention_matches_shannon_decomposition_at_q_near_1(self):
-        cov = SymPDMatrix(np.diag([4.0, 0.25]))
-        q = 1.0 + 1e-6
-        tsallis = null_max_entropy(cov, 2, q, "t1")
-        additive = null_max_entropy(cov, 2, q, "t1", convention="additive")
-        assert tsallis == pytest.approx(additive, abs=1e-4)
 
 
 class TestGofStatistic:

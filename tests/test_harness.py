@@ -1,17 +1,19 @@
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tsgof import harness
 from tsgof.errors import ConfigError, DomainError
+from tsgof.gof import infeasibility_reason
 from tsgof.harness import (
     CriticalValueRow,
     CriticalValueTable,
     ExperimentConfig,
     GridBlock,
-    estimate_reason,
     load_config,
     parse_config,
     run_consistency_curves,
@@ -20,8 +22,6 @@ from tsgof.harness import (
     run_distribution_shape,
     run_experiment,
     run_normality_sweep,
-    sampling_reason,
-    statistic_reason,
 )
 
 EXAMPLE = """
@@ -37,6 +37,24 @@ m = 2
 k = 1 2
 N = 50 100
 """
+
+
+class Interrupted(Exception):
+    pass
+
+
+_original_compute_task = harness._compute_task
+
+
+def _interrupt_at_task_3(config, task):
+    # module level, so a pool can pickle it
+    if task.index == 3:
+        raise Interrupted
+    return _original_compute_task(config, task)
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def tiny_config(**overrides):
@@ -125,21 +143,22 @@ class TestConfigParsing:
 
 
 class TestFeasibilityReasons:
+    # the harness records gof.infeasibility_reason strings in its manifests
     def test_sampling_bounds(self):
-        assert sampling_reason("t1", 1.2, 2) is None
-        assert "1 + 2/m" in sampling_reason("t1", 2.0, 2)
-        assert "(1, 3)" in sampling_reason("t1", 0.5, 2)
-        assert sampling_reason("t2", 0.5, 2) is None
-        assert "(0, 1)" in sampling_reason("t2", 1.2, 2)
+        assert infeasibility_reason("t1", 1.2, 2, bridge=False) is None
+        assert "1 + 2/m" in infeasibility_reason("t1", 2.0, 2, bridge=False)
+        assert "(1, 3)" in infeasibility_reason("t1", 0.5, 2, bridge=False)
+        assert infeasibility_reason("t2", 0.5, 2, bridge=False) is None
+        assert "(0, 1)" in infeasibility_reason("t2", 1.2, 2, bridge=False)
 
     def test_estimator_bounds(self):
-        assert estimate_reason("t1", 1.2, 2, 1, 100) is None
-        assert "k + 1" in estimate_reason("t1", 2.5, 1, 1, 100)
-        assert "N > k" in estimate_reason("t2", 0.5, 1, 5, 5)
+        assert infeasibility_reason("t1", 1.2, 2, 1, 100, bridge=False) is None
+        assert "k + 1" in infeasibility_reason("t1", 2.5, 1, 1, 100, bridge=False)
+        assert "N > k" in infeasibility_reason("t2", 0.5, 1, 5, 5, bridge=False)
 
     def test_statistic_bounds(self):
-        assert statistic_reason("t1", 1.2, 2, 1, 100) is None
-        assert "1 + 2/(m+2)" in statistic_reason("t1", 1.5, 2, 1, 100)
+        assert infeasibility_reason("t1", 1.2, 2, 1, 100) is None
+        assert "1 + 2/(m+2)" in infeasibility_reason("t1", 1.5, 2, 1, 100)
 
 
 class TestCriticalValues:
@@ -230,6 +249,28 @@ class TestResumability:
         (tmp_path / "critical_values.csv").unlink()
         run_experiment(config, out_dir=tmp_path, workers=1)
         assert (tmp_path / "critical_values.csv").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            1,
+            pytest.param(2, marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched task function reaches pool workers only through fork",
+            )),
+        ],
+    )
+    def test_interrupted_run_keeps_finished_cells(self, tmp_path, monkeypatch, workers):
+        config = tiny_config(grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(60, 80, 100)),))
+        run_experiment(config, out_dir=tmp_path / "clean", workers=1)
+        monkeypatch.setattr(harness, "_compute_task", _interrupt_at_task_3)
+        with pytest.raises(Interrupted):
+            run_experiment(config, out_dir=tmp_path / "run", workers=workers)
+        cells = tmp_path / "run" / ".cells" / config.config_hash()
+        assert sorted(p.name for p in cells.iterdir()) == [f"task-{i:06d}.json" for i in range(3)]
+        monkeypatch.undo()
+        run_experiment(config, out_dir=tmp_path / "run", workers=workers)
+        assert tree_bytes(tmp_path / "run") == tree_bytes(tmp_path / "clean")
 
     def test_config_change_invalidates_cache_location(self, tmp_path):
         a = tiny_config()
