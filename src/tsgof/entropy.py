@@ -62,6 +62,27 @@ def knn_bias_constant(k: int, q: float) -> float:
     return math.exp((log_gamma(k) - log_gamma(k + 1.0 - q)) / (1.0 - q))
 
 
+def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
+    """The estimate from rho, the k-th neighbor distances of N points in R^m.
+
+    For q > 1 a zero distance (a duplicate point) makes the estimate
+    infinite and raises DegenerateSampleError.
+    """
+    n = rho.shape[0]
+    if q > 1 and np.min(rho) == 0.0:
+        raise DegenerateSampleError(
+            "duplicate points give zero neighbor distances, undefined for q > 1 "
+            "(pass on_duplicates='jitter' with an RngStream to perturb them)"
+        )
+    log_scale = math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
+    with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
+        powers = np.exp((1.0 - q) * (log_scale + m * np.log(rho)))
+    # exactly rounded sum: reproducible and invariant to point order
+    i_hat = math.fsum(powers.tolist()) / n
+    h_hat = (1.0 - i_hat) / (q - 1.0)
+    return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
+
+
 def tsallis_knn_estimate(
     x,
     k: int,
@@ -82,38 +103,29 @@ def tsallis_knn_estimate(
     n, m = a.shape
     if not (n > k):
         raise DomainError(f"need N > k, got N={n}, k={k}")
-    bias = knn_bias_constant(k, q)  # validates k and q
+    knn_bias_constant(k, q)  # validates k and q before the query
     if on_duplicates not in ("error", "jitter"):
         raise DomainError(f"on_duplicates must be 'error' or 'jitter', got {on_duplicates!r}")
 
     rho = knn_distances(a, k, engine=engine)[:, -1]
-    if q > 1 and np.min(rho) == 0.0:
+    try:
+        return lps_estimate(rho, k, q, m)
+    except DegenerateSampleError:
         if on_duplicates == "error":
-            raise DegenerateSampleError(
-                "duplicate points give zero neighbor distances, undefined for q > 1 "
-                "(pass on_duplicates='jitter' with an RngStream to perturb them)"
-            )
-        if rng is None:
-            raise DomainError("on_duplicates='jitter' requires an RngStream")
-        diameter = math.sqrt(float(np.sum((a.max(axis=0) - a.min(axis=0)) ** 2)))
-        if diameter == 0.0:
-            raise DegenerateSampleError("all sample points identical; jitter has no scale")
-        eps = 1e-9 * diameter
-        logger.warning(
-            "sample has %d zero neighbor distances; jittering all points by +/- %.3e",
-            int(np.sum(rho == 0.0)),
-            eps,
-        )
-        a = a + rng.generator.uniform(-eps, eps, size=a.shape)
-        rho = knn_distances(a, k, engine=engine)[:, -1]
-
-    log_scale = math.log(n - 1) + math.log(bias) + math.log(unit_ball_volume(m))
-    with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 or inf term
-        powers = np.exp((1.0 - q) * (log_scale + m * np.log(rho)))
-    # exactly rounded sum: reproducible and invariant to point order
-    i_hat = math.fsum(powers) / n
-    h_hat = (1.0 - i_hat) / (q - 1.0)
-    return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
+            raise
+    if rng is None:
+        raise DomainError("on_duplicates='jitter' requires an RngStream")
+    diameter = math.sqrt(float(np.sum((a.max(axis=0) - a.min(axis=0)) ** 2)))
+    if diameter == 0.0:
+        raise DegenerateSampleError("all sample points identical; jitter has no scale")
+    eps = 1e-9 * diameter
+    logger.warning(
+        "sample has %d zero neighbor distances; jittering all points by +/- %.3e",
+        int(np.sum(rho == 0.0)),
+        eps,
+    )
+    a = a + rng.generator.uniform(-eps, eps, size=a.shape)
+    return lps_estimate(knn_distances(a, k, engine=engine)[:, -1], k, q, m)
 
 
 def check_consistency_conditions(

@@ -29,7 +29,8 @@ from .distributions import (
     qgauss_tsallis_entropy,
     qgauss_sample,
 )
-from .entropy import tsallis_knn_estimate
+from .entropy import lps_estimate, tsallis_knn_estimate
+from .knn import knn_distances
 from .errors import ConfigError, DomainError, InfeasibleModelError
 from .linalg import SymPDMatrix, as_sample_matrix, sample_mean_cov
 from .mathcore import RngStream
@@ -170,20 +171,42 @@ def run_test(
     )
 
 
-def null_statistics(
-    n: int, m: int, k: int, q: float, family: str, streams, engine: str = "tree"
+def null_replicates(
+    n: int,
+    m: int,
+    ks,
+    q: float,
+    family: str,
+    streams,
+    engine: str = "tree",
+    statistic: bool = True,
 ) -> np.ndarray:
-    """The statistic of one standard null draw of size n per RngStream in
-    streams: the replicate loop of simulated critical values and of the
-    harness's statistic experiments."""
-    require_feasible(family, q, m, k, n)
+    """One standard null draw of size n per RngStream in streams, evaluated
+    at every k of ks: a (replicates, len(ks)) matrix.
+
+    Each draw gets one neighbor query at max(ks), and k reads column k-1 of
+    it, so all ks share draws (common random numbers across k) and each
+    column equals what a run with ks=(k,) gives, bit for bit. With
+    statistic, entries are Q, with the covariance and null entropy formed
+    once per draw; without it they are the estimates h_hat, and the
+    covariance bridge is not required.
+    """
+    ks = tuple(ks)
+    for k in ks:
+        require_feasible(family, q, m, k, n, bridge=statistic)
     params = QGaussianParams(m=m, q=q)
-    return np.array(
-        [
-            gof_statistic(qgauss_sample(params, n, rng), k, q, family, engine=engine).statistic
-            for rng in streams
-        ]
-    )
+    k_max = max(ks)
+    out = []
+    for rng in streams:
+        draw = qgauss_sample(params, n, rng)
+        rho = knn_distances(draw, k_max, engine=engine)
+        h_hat = [lps_estimate(rho[:, k - 1], k, q, m).h_hat for k in ks]
+        if statistic:
+            upper = null_max_entropy(sample_mean_cov(draw)[1], m, q, family)
+            out.append([upper - h for h in h_hat])
+        else:
+            out.append(h_hat)
+    return np.array(out).reshape(-1, len(ks))
 
 
 def simulate_critical_value(
@@ -199,5 +222,5 @@ def simulate_critical_value(
 ) -> float:
     """Upper (1-alpha) empirical quantile of the null statistic distribution."""
     streams = (rng.child(j) for j in range(replications))
-    stats = null_statistics(n, m, k, q, family, streams, engine)
+    stats = null_replicates(n, m, (k,), q, family, streams, engine)[:, 0]
     return empirical_quantile(stats, 1.0 - alpha)

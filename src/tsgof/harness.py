@@ -3,13 +3,21 @@ persisted CSV results.
 
 Determinism contract
 --------------------
-Output bytes are a pure function of (config, master_seed). Every atomic
-simulation task owns an RngStream whose index is derived from its position
-in the row-major cell enumeration (cell_index * reps_per_cell + rep), so
-worker count and scheduling never change results. Each per-cell result
-is cached under `<out>/.cells/<config-hash>/` as soon as it arrives, and
-reruns recompute only missing or unreadable cells before reassembling
-byte-identical files.
+Output bytes are a pure function of (config, master_seed). The plan has
+one task per (grid block, q, m, N) point, and its replicate rep draws from
+RngStream(master_seed, content_index(family, q, m, N, rep)): the stream is
+keyed by what the replicate simulates, not by where its cell sits in the
+grid. Every k of the block is read off the same draws (common random
+numbers across k), and adding or reordering grid values leaves the other
+cells' rows unchanged (regression.csv, which fits over each group's N
+values, does change). Worker count and scheduling never change results.
+
+Each task's result is cached under `<out>/.cells/<key>/` as soon as it
+arrives, where the key hashes the config, the toolkit version and
+STREAM_LAYOUT, the version of the replicate-to-stream mapping. Reruns
+reuse only valid cells of the same key and recompute the rest (missing,
+unreadable, or with a payload that does not fit the kind) before
+reassembling byte-identical files.
 
 Result files (CSV, UTF-8, comma-separated, '.' decimal, header mandatory)
 ----------------------------------------------------------------------
@@ -26,8 +34,8 @@ distribution-shape  shape_statistics.csv  q,m,k,N,rep,Q,M,seed
 Cells that violate a family feasibility bound are emitted as explicit
 rows whose value columns read `infeasible` (with the reason recorded in
 the manifest), never silently skipped. Each experiment also writes
-`<kind>_manifest.json` echoing the config, its hash, the master seed and
-the toolkit version.
+`<kind>_manifest.json` echoing the config, its hash, the master seed, the
+stream layout and the toolkit version.
 """
 
 import hashlib
@@ -47,9 +55,8 @@ from scipy.special import ndtri
 from . import __version__
 from .errors import ConfigError, DomainError
 from .distributions import QGaussianParams, qgauss_sample, qgauss_tsallis_entropy
-from .entropy import tsallis_knn_estimate
-from .gof import FAMILIES, infeasibility_reason, null_statistics
-from .mathcore import RngStream
+from .gof import FAMILIES, infeasibility_reason, null_replicates
+from .mathcore import RngStream, content_index
 from .statkit import empirical_quantile, ols_slope_with_offset, shapiro_wilk
 
 logger = logging.getLogger(__name__)
@@ -61,6 +68,10 @@ KINDS = (
     "consistency-curves",
     "distribution-shape",
 )
+
+# version of the mapping from replicates to random streams; a change to it
+# changes result bytes, so it is part of the cell-cache key
+STREAM_LAYOUT = 2
 
 _BIN_RULE = "freedman-diaconis (numpy histogram_bin_edges 'fd')"
 
@@ -126,7 +137,10 @@ class ExperimentConfig:
         return json.dumps(payload, sort_keys=True)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
+        """Key of the cell cache: the config, the toolkit version and the
+        stream layout, so cells written by other code are never reused."""
+        key = json.dumps([self.canonical(), __version__, STREAM_LAYOUT])
+        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
 _TOP_KEYS = {
@@ -324,161 +338,175 @@ class CriticalValueTable:
 @dataclass(frozen=True)
 class _Task:
     index: int
-    role: str  # "cell" | "density"
+    role: str  # "point" | "density"
     q: float
     m: int
-    k: int
+    ks: tuple  # (0,) for a density task
     n: int
-    stream_base: int
+    positions: tuple  # where each k's cell sits in the file order
+
+
+_HEADERS = {
+    "critical_values.csv": "q,m,k,N,alpha,crit,M,seed",
+    "normality.csv": "q,m,k,N,mean_p,M,n,seed",
+    "convergence.csv": "q,m,k,N,mean_q,std_q,M,seed",
+    "regression.csv": "q,m,k,beta,intercept,rse",
+    "consistency.csv": "q,m,k,N,mean_h,std_h,h_true,M,seed",
+    "shape_statistics.csv": "q,m,k,N,rep,Q,M,seed",
+    "shape_stat_density.csv": "q,m,k,N,bin_left,bin_right,density,M,seed",
+    "shape_stat_qq.csv": "q,m,k,N,i,standardized_q,normal_quantile,M,seed",
+    "shape_sample_density.csv": "q,m,draws,bin_left,bin_right,density,log_density,seed",
+    "_regression_input": "q,m,k,N,mean_abs",  # cached per cell, not written
+}
+
+# the files one cell of each kind writes; an infeasible cell writes only the
+# first, as one marker row
+_CELL_FILES = {
+    "critical-values": ("critical_values.csv",),
+    "normality-sweep": ("normality.csv",),
+    "convergence": ("convergence.csv", "_regression_input"),
+    "consistency-curves": ("consistency.csv",),
+    "distribution-shape": ("shape_statistics.csv", "shape_stat_density.csv", "shape_stat_qq.csv"),
+    "density": ("shape_sample_density.csv",),
+}
 
 
 def _plan(config: ExperimentConfig) -> list[_Task]:
-    cells = config.cells()
-    m_out = config.replications
+    """One task per (grid block, q, m, N) point, computing every k of its
+    block from shared draws; then, for distribution-shape, one density task
+    per (q, m). Positions index the row-major config.cells() order, with
+    density tasks after the last cell."""
     tasks = []
-    if config.kind == "normality-sweep":
-        per_cell = m_out * config.inner_batch
-    else:
-        per_cell = m_out
-    for idx, (q, m, k, n) in enumerate(cells):
-        tasks.append(
-            _Task(index=idx, role="cell", q=q, m=m, k=k, n=n, stream_base=idx * per_cell)
-        )
+    offset = 0
+    for block in config.grids:
+        n_m, n_k, n_n = len(block.ms), len(block.ks), len(block.ns)
+        for qi, q in enumerate(block.qs):
+            for mi, m in enumerate(block.ms):
+                for ni, n in enumerate(block.ns):
+                    first = offset + (qi * n_m + mi) * n_k * n_n + ni
+                    positions = tuple(range(first, first + n_k * n_n, n_n))
+                    tasks.append(_Task(len(tasks), "point", q, m, block.ks, n, positions))
+        offset += len(block.qs) * n_m * n_k * n_n
     if config.kind == "distribution-shape":
         seen = []
-        for q, m, _, _ in cells:
+        for q, m, _, _ in config.cells():
             if (q, m) not in seen:
                 seen.append((q, m))
-        base = len(cells) * per_cell
         for j, (q, m) in enumerate(seen):
-            tasks.append(
-                _Task(
-                    index=len(cells) + j,
-                    role="density",
-                    q=q,
-                    m=m,
-                    k=0,
-                    n=0,
-                    stream_base=base + j,
-                )
-            )
+            tasks.append(_Task(len(tasks), "density", q, m, (0,), 0, (offset + j,)))
     return tasks
 
 
-def _null_statistics(config: ExperimentConfig, task: _Task, count: int, offset: int = 0):
-    """count null statistics for the task's cell, one stream per replication."""
-    base = task.stream_base + offset
-    streams = (RngStream(config.master_seed, base + r) for r in range(count))
-    return null_statistics(task.n, task.m, task.k, task.q, config.family, streams, config.engine)
+def _row(config: ExperimentConfig, name: str, point, **values) -> list:
+    """A row of file name for the cell at point = (q, m, k, N): the cell's
+    coordinates and the config's settings, then values by column name. A
+    value column not given reads `infeasible`."""
+    q, m, k, n = point
+    fixed = {"q": q, "m": m, "k": k, "N": n, "alpha": config.alpha, "M": config.replications}
+    fixed.update(n=config.inner_batch, draws=config.draws, seed=config.master_seed)
+    return [
+        values[col] if col in values else fixed.get(col, "infeasible")
+        for col in _HEADERS[name].split(",")
+    ]
 
 
-def _histogram_rows(values: np.ndarray, with_log: bool = False):
+def _histogram_rows(values: np.ndarray):
+    """(bin_left, bin_right, density) per Freedman-Diaconis bin."""
     edges = np.histogram_bin_edges(values, bins="fd")
     counts, edges = np.histogram(values, bins=edges)
-    widths = np.diff(edges)
-    density = counts / (counts.sum() * widths)
+    density = counts / (counts.sum() * np.diff(edges))
+    return [(float(a), float(b), float(d)) for a, b, d in zip(edges[:-1], edges[1:], density)]
+
+
+def _reduce(config: ExperimentConfig, point, values: np.ndarray) -> dict:
+    """One feasible cell's {filename: rows}, from its replicate column:
+    statistics Q, or estimates h_hat for consistency curves."""
+    kind = config.kind
+    if kind == "critical-values":
+        crit = empirical_quantile(values, 1.0 - config.alpha)
+        return {"critical_values.csv": [_row(config, "critical_values.csv", point, crit=crit)]}
+    if kind == "normality-sweep":
+        batches = values.reshape(config.replications, config.inner_batch)
+        mean_p = float(np.mean([shapiro_wilk(batch).p_value for batch in batches]))
+        return {"normality.csv": [_row(config, "normality.csv", point, mean_p=mean_p)]}
+    mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
+    if kind == "convergence":
+        mean_abs = float(np.mean(np.abs(values)))
+        return {
+            "convergence.csv": [_row(config, "convergence.csv", point, mean_q=mean, std_q=std)],
+            "_regression_input": [_row(config, "_regression_input", point, mean_abs=mean_abs)],
+        }
+    if kind == "consistency-curves":
+        h_true = qgauss_tsallis_entropy(QGaussianParams(m=point[1], q=point[0]))
+        row = _row(config, "consistency.csv", point, mean_h=mean, std_h=std, h_true=h_true)
+        return {"consistency.csv": [row]}
+    m_out = config.replications  # distribution-shape
+    standardized = np.sort((values - mean) / std)
+    quantiles = ndtri((np.arange(1, m_out + 1) - 0.5) / m_out)
+    return {
+        "shape_statistics.csv": [
+            _row(config, "shape_statistics.csv", point, rep=r, Q=float(s))
+            for r, s in enumerate(values)
+        ],
+        "shape_stat_density.csv": [
+            _row(config, "shape_stat_density.csv", point, bin_left=a, bin_right=b, density=d)
+            for a, b, d in _histogram_rows(values)
+        ],
+        "shape_stat_qq.csv": [
+            _row(config, "shape_stat_qq.csv", point, i=i + 1, standardized_q=float(s),
+                 normal_quantile=float(t))
+            for i, (s, t) in enumerate(zip(standardized, quantiles))
+        ],
+    }
+
+
+def _density_cell(config, task):
+    name, point = "shape_sample_density.csv", (task.q, task.m, 0, 0)
+    reason = infeasibility_reason(config.family, task.q, task.m, bridge=False)
+    if reason:
+        return {name: [_row(config, name, point)], "reason": reason}
+    rng = RngStream(config.master_seed, content_index(config.family, task.q, task.m, 0, 0))
+    draws = qgauss_sample(QGaussianParams(m=task.m, q=task.q), config.draws, rng)
     rows = []
-    for left, right, dens in zip(edges[:-1], edges[1:], density):
-        row = [float(left), float(right), float(dens)]
-        if with_log:
-            row.append(math.log(dens) if dens > 0 else float("nan"))
-        rows.append(row)
-    return rows
+    for left, right, dens in _histogram_rows(draws[:, 0]):
+        log_density = math.log(dens) if dens > 0 else float("nan")
+        rows.append(_row(config, name, point, bin_left=left, bin_right=right, density=dens,
+                         log_density=log_density))
+    return {name: rows}
 
 
 def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
-    """Compute one task; returns {filename: rows} plus optional 'reason' key."""
+    """Compute one task: {"cells": [one cell per k of task.ks]}, each cell
+    {filename: rows} plus a 'reason' key when it is infeasible."""
+    if task.role == "density":
+        return {"cells": [_density_cell(config, task)]}
     kind = config.kind
-    q, m, k, n = task.q, task.m, task.k, task.n
-    m_out = config.replications
-    seed = config.master_seed
-
-    if kind == "critical-values":
-        reason = infeasibility_reason(config.family, q, m, k, n)
+    statistic = kind != "consistency-curves"  # consistency curves need no covariance
+    reasons = [
+        infeasibility_reason(config.family, task.q, task.m, k, task.n, bridge=statistic)
+        for k in task.ks
+    ]
+    feasible = [k for k, reason in zip(task.ks, reasons) if reason is None]
+    columns = iter(())
+    if feasible:
+        count = config.replications
+        if kind == "normality-sweep":
+            count *= config.inner_batch  # replicate b*n + i is statistic i of batch b
+        index = partial(content_index, config.family, task.q, task.m, task.n)
+        streams = (RngStream(config.master_seed, index(rep)) for rep in range(count))
+        matrix = null_replicates(
+            task.n, task.m, feasible, task.q, config.family, streams, config.engine, statistic
+        )
+        columns = iter(matrix.T)
+    cells = []
+    for k, reason in zip(task.ks, reasons):
+        point = (task.q, task.m, k, task.n)
         if reason:
-            row = [q, m, k, n, config.alpha, "infeasible", m_out, seed]
-            return {"critical_values.csv": [row], "reason": reason}
-        stats = _null_statistics(config, task, m_out)
-        crit = empirical_quantile(stats, 1.0 - config.alpha)
-        return {"critical_values.csv": [[q, m, k, n, config.alpha, crit, m_out, seed]]}
-
-    if kind == "normality-sweep":
-        reason = infeasibility_reason(config.family, q, m, k, n)
-        n_in = config.inner_batch
-        if reason:
-            row = [q, m, k, n, "infeasible", m_out, n_in, seed]
-            return {"normality.csv": [row], "reason": reason}
-        p_values = np.empty(m_out)
-        for b in range(m_out):
-            batch = _null_statistics(config, task, n_in, offset=b * n_in)
-            p_values[b] = shapiro_wilk(batch).p_value
-        return {"normality.csv": [[q, m, k, n, float(np.mean(p_values)), m_out, n_in, seed]]}
-
-    if kind == "convergence":
-        reason = infeasibility_reason(config.family, q, m, k, n)
-        if reason:
-            row = [q, m, k, n, "infeasible", "infeasible", m_out, seed]
-            return {"convergence.csv": [row], "reason": reason}
-        stats = _null_statistics(config, task, m_out)
-        mean = float(np.mean(stats))
-        std = float(np.std(stats, ddof=1))
-        mean_abs = float(np.mean(np.abs(stats)))
-        return {
-            "convergence.csv": [[q, m, k, n, mean, std, m_out, seed]],
-            "_regression_input": [[q, m, k, n, mean_abs]],
-        }
-
-    if kind == "consistency-curves":
-        reason = infeasibility_reason(config.family, q, m, k, n, bridge=False)
-        if reason:
-            row = [q, m, k, n, "infeasible", "infeasible", "infeasible", m_out, seed]
-            return {"consistency.csv": [row], "reason": reason}
-        params = QGaussianParams(m=m, q=q)  # standard member; bridge not needed here
-        h_true = qgauss_tsallis_entropy(params)
-        estimates = np.empty(m_out)
-        for r in range(m_out):
-            rng = RngStream(seed, task.stream_base + r)
-            draw = qgauss_sample(params, n, rng)
-            estimates[r] = tsallis_knn_estimate(draw, k, q, engine=config.engine).h_hat
-        mean = float(np.mean(estimates))
-        std = float(np.std(estimates, ddof=1))
-        return {"consistency.csv": [[q, m, k, n, mean, std, h_true, m_out, seed]]}
-
-    if kind == "distribution-shape":
-        if task.role == "density":
-            reason = infeasibility_reason(config.family, q, m, bridge=False)
-            if reason:
-                row = [q, m, config.draws, "infeasible", "infeasible", "infeasible", "infeasible", seed]
-                return {"shape_sample_density.csv": [row], "reason": reason}
-            rng = RngStream(seed, task.stream_base)
-            draws = qgauss_sample(QGaussianParams(m=m, q=q), config.draws, rng)
-            rows = [
-                [q, m, config.draws] + r + [seed]
-                for r in _histogram_rows(draws[:, 0], with_log=True)
-            ]
-            return {"shape_sample_density.csv": rows}
-        reason = infeasibility_reason(config.family, q, m, k, n)
-        if reason:
-            marker = [q, m, k, n, "infeasible", "infeasible", m_out, seed]
-            return {"shape_statistics.csv": [marker], "reason": reason}
-        stats = _null_statistics(config, task, m_out)
-        stat_rows = [[q, m, k, n, r, float(s), m_out, seed] for r, s in enumerate(stats)]
-        dens_rows = [[q, m, k, n] + r + [m_out, seed] for r in _histogram_rows(stats)]
-        mean = float(np.mean(stats))
-        std = float(np.std(stats, ddof=1))
-        standardized = np.sort((stats - mean) / std)
-        quantiles = ndtri((np.arange(1, m_out + 1) - 0.5) / m_out)
-        qq_rows = [
-            [q, m, k, n, i + 1, float(s), float(t), m_out, seed]
-            for i, (s, t) in enumerate(zip(standardized, quantiles))
-        ]
-        return {
-            "shape_statistics.csv": stat_rows,
-            "shape_stat_density.csv": dens_rows,
-            "shape_stat_qq.csv": qq_rows,
-        }
-
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+            name = _CELL_FILES[kind][0]
+            cells.append({name: [_row(config, name, point)], "reason": reason})
+        else:
+            cells.append(_reduce(config, point, next(columns)))
+    return {"cells": cells}
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +529,73 @@ def deterministic_map(fn, items, workers: int = 1) -> list:
     return list(_ordered_map(fn, items, workers))
 
 
-def _read_cell(cache_file: Path) -> dict | None:
-    """A cached cell result, or None when the file is missing or unreadable."""
+def _cell_problem(config: ExperimentConfig, task: _Task, payload) -> str | None:
+    """Why a cached task payload cannot be reused, or None if it can: one
+    cell per k; an infeasible cell is its reason and the exact marker row;
+    any other cell has exactly its kind's files, and rows whose coordinate
+    and setting columns are the cell's and whose value columns are finite
+    numbers (NaN allowed as the log density of an empty bin)."""
+    cells = payload.get("cells") if isinstance(payload, dict) else None
+    if not isinstance(cells, list) or len(cells) != len(task.ks):
+        return f"expected a list of {len(task.ks)} cells"
+    files = _CELL_FILES["density" if task.role == "density" else config.kind]
+    for k, cell in zip(task.ks, cells):
+        point = (task.q, task.m, k, task.n)
+        if not isinstance(cell, dict):
+            return "a cell is not an object"
+        if "reason" in cell:
+            marker = {files[0]: [_row(config, files[0], point)], "reason": cell["reason"]}
+            if cell != marker or not (isinstance(cell["reason"], str) and cell["reason"]):
+                return f"cell {point} is not an infeasible marker with a reason"
+            continue
+        if set(cell) != set(files):
+            return f"cell {point} holds {sorted(cell)}, expected {sorted(files)}"
+        for name in files:
+            template = _row(config, name, point)
+            if not isinstance(cell[name], list) or not cell[name]:
+                return f"{name} of cell {point} has no rows"
+            for row in cell[name]:
+                if not isinstance(row, list) or len(row) != len(template):
+                    return f"{name} row {row!r} does not have {len(template)} columns"
+                for col, value, fixed in zip(_HEADERS[name].split(","), row, template):
+                    if fixed != "infeasible":
+                        if value != fixed:
+                            return f"{name} row {row!r} is not for cell {point}"
+                    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                        return f"{name} value {value!r} is not a number"
+                    elif not math.isfinite(value):
+                        if not (col == "log_density" and math.isnan(value)):
+                            return f"{name} value {value!r} is not finite"
+    return None
+
+
+def _read_cell(config: ExperimentConfig, task: _Task, cache_file: Path) -> dict | None:
+    """A cached task result, or None when the file is missing, unreadable
+    or holds an invalid payload."""
     try:
-        return json.loads(cache_file.read_text(encoding="utf-8"))
+        payload = json.loads(cache_file.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
     except ValueError as exc:  # not JSON, or not UTF-8
         logger.warning("recomputing unreadable cell file %s: %s", cache_file, exc)
         return None
+    problem = _cell_problem(config, task, payload)
+    if problem:
+        logger.warning("recomputing invalid cell file %s: %s", cache_file, problem)
+        return None
+    return payload
 
 
 def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
-    """Each task's result in plan order; with a cache_dir, cached cells are
-    reused and each computed cell is written as soon as it arrives."""
+    """Each task's result in plan order; with a cache_dir, valid cached
+    results are reused and each computed one is written as soon as it
+    arrives."""
     tasks = _plan(config)
     results: dict[int, dict] = {}
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         for task in tasks:
-            cached = _read_cell(cache_dir / f"task-{task.index:06d}.json")
+            cached = _read_cell(config, task, cache_dir / f"task-{task.index:06d}.json")
             if cached is not None:
                 results[task.index] = cached
     pending = [t for t in tasks if t.index not in results]
@@ -531,19 +606,6 @@ def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
         if cache_dir is not None:
             _write_atomic(cache_dir / f"task-{task.index:06d}.json", json.dumps(result))
     return tasks, [results[t.index] for t in tasks]
-
-
-_HEADERS = {
-    "critical_values.csv": "q,m,k,N,alpha,crit,M,seed",
-    "normality.csv": "q,m,k,N,mean_p,M,n,seed",
-    "convergence.csv": "q,m,k,N,mean_q,std_q,M,seed",
-    "regression.csv": "q,m,k,beta,intercept,rse",
-    "consistency.csv": "q,m,k,N,mean_h,std_h,h_true,M,seed",
-    "shape_statistics.csv": "q,m,k,N,rep,Q,M,seed",
-    "shape_stat_density.csv": "q,m,k,N,bin_left,bin_right,density,M,seed",
-    "shape_stat_qq.csv": "q,m,k,N,i,standardized_q,normal_quantile,M,seed",
-    "shape_sample_density.csv": "q,m,draws,bin_left,bin_right,density,log_density,seed",
-}
 
 
 def _fmt(value) -> str:
@@ -618,17 +680,25 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     files: dict[str, list] = {}
     regression_inputs = []
     infeasible = []
-    for task, result in zip(tasks, results):
-        for name, rows in result.items():
+    cells = sorted(
+        (
+            (position, task, k, cell)
+            for task, result in zip(tasks, results)
+            for position, k, cell in zip(task.positions, task.ks, result["cells"])
+        ),
+        key=lambda entry: entry[0],
+    )
+    for _, task, k, cell in cells:
+        for name, rows in cell.items():
             if name == "reason":
                 continue
             if name == "_regression_input":
                 regression_inputs.extend(rows)
                 continue
             files.setdefault(name, []).extend(rows)
-        if "reason" in result:
+        if "reason" in cell:
             infeasible.append(
-                {"q": task.q, "m": task.m, "k": task.k, "N": task.n, "reason": result["reason"]}
+                {"q": task.q, "m": task.m, "k": k, "N": task.n, "reason": cell["reason"]}
             )
     if config.kind == "convergence":
         files["regression.csv"] = _regression_rows(
@@ -649,6 +719,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
         "config": json.loads(config.canonical()),
         "config_hash": config.config_hash(),
         "master_seed": config.master_seed,
+        "stream_layout": STREAM_LAYOUT,
         "toolkit_version": __version__,
         "files": sorted(n for n in files if n in _HEADERS),
         "infeasible_cells": infeasible,

@@ -138,12 +138,13 @@ def sample_mean_cov(x) -> tuple[np.ndarray, SymPDMatrix]:
     """
     a = as_sample_matrix(x)
     n, m = a.shape
-    mean = np.array([math.fsum(a[:, j]) for j in range(m)]) / n
+    # fsum over a list skips the per-element numpy scalar boxing; same bits
+    mean = np.array([math.fsum(a[:, j].tolist()) for j in range(m)]) / n
     centered = a - mean
     cov = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            v = math.fsum(centered[:, i] * centered[:, j]) / (n - 1)
+            v = math.fsum((centered[:, i] * centered[:, j]).tolist()) / (n - 1)
             cov[i, j] = v
             cov[j, i] = v
     return mean, SymPDMatrix(cov)

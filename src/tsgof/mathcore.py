@@ -4,10 +4,12 @@ Random streams are built on the Philox counter-based bit generator, keyed
 directly by the pair (master_seed, stream_index). Distinct key pairs give
 statistically independent streams without any coordination, which is what
 the deterministic parallel Monte Carlo in the experiment harness relies on:
-every simulation task owns one stream and workers never share state.
+every replicate owns one stream, at the index `content_index` derives from
+what it simulates, and workers never share state.
 """
 
 import math
+import struct
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +25,22 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def content_index(family: str, q: float, m: int, n: int, rep: int) -> int:
+    """Stream index of replicate rep at the (family, q, m, N) point.
+
+    A splitmix64 fold, z = splitmix64(z ^ part) from z = 0, over the family
+    name's bytes read as a big integer, the IEEE-754 bits of q, m, N and
+    rep. The index depends on what the replicate simulates, not on where
+    its cell sits in a grid, so editing a grid leaves the other cells'
+    draws unchanged.
+    """
+    q_bits = struct.unpack("<Q", struct.pack("<d", float(q)))[0]
+    z = 0
+    for part in (int(family.encode().hex(), 16), q_bits, m, n, rep):
+        z = _splitmix64(z ^ int(part))
+    return z
 
 
 class RngStream:

@@ -272,6 +272,27 @@ class TestExperimentCommands:
         assert tree_bytes(run) == tree_bytes(clean)
 
 
+    @pytest.mark.parametrize("payload", ["{}", "nan-crit"])
+    def test_invalid_cell_payload_recomputed(self, capsys, tmp_path, caplog, payload):
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG.replace("N = 60", "N = 60 80"))
+        args = ["critical-values", "--config", str(cfg), "--workers", "1", "--out"]
+        clean, run = tmp_path / "clean", tmp_path / "run"
+        assert run_cli(args + [str(clean)], capsys)[0] == 0
+        assert run_cli(args + [str(run)], capsys)[0] == 0
+        (cell,) = run.glob(".cells/*/task-000001.json")
+        if payload == "{}":
+            cell.write_text("{}")
+        else:
+            doctored = json.loads(cell.read_text())
+            doctored["cells"][0]["critical_values.csv"][0][5] = "NaN"
+            cell.write_text(json.dumps(doctored))
+        code, _, _ = run_cli(args + [str(run)], capsys)
+        assert code == 0
+        assert "invalid cell file" in caplog.text
+        assert tree_bytes(run) == tree_bytes(clean)
+
+
 class TestEntryPoint:
     def test_console_script_installed(self):
         result = subprocess.run(

@@ -9,9 +9,10 @@ from tsgof.distributions import gg_tsallis_entropy
 from tsgof.entropy import (
     check_consistency_conditions,
     knn_bias_constant,
+    lps_estimate,
     tsallis_knn_estimate,
 )
-from tsgof.mathcore import RngStream
+from tsgof.mathcore import RngStream, unit_ball_volume
 
 
 class TestBiasConstant:
@@ -52,6 +53,22 @@ class TestWorkedExample:
         est = tsallis_knn_estimate(x, k=2, q=0.7)
         assert est.h_hat == (1.0 - est.i_hat) / (est.q - 1.0)
         assert est.i_hat > 0
+
+
+class TestLpsSum:
+    @pytest.mark.parametrize("q", [0.5, 1.5])
+    def test_bits_equal_fsum_over_array(self, q):
+        # heavy-tailed distances over 12 decades, summed in log space
+        gen = RngStream(8, 0).generator
+        rho = np.abs(gen.standard_t(1.2, size=4000)) * 10.0 ** gen.integers(-6, 6, size=4000)
+        m, k, n = 2, 2, 4000
+        log_scale = (
+            math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
+        )
+        powers = np.exp((1.0 - q) * (log_scale + m * np.log(rho)))
+        estimate = lps_estimate(rho, k, q, m)
+        assert estimate.i_hat == math.fsum(powers) / n
+        assert estimate.h_hat == (1.0 - estimate.i_hat) / (q - 1.0)
 
 
 class TestEstimatorStatistics:

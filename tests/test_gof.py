@@ -5,11 +5,13 @@ import pytest
 
 from tsgof.errors import ConfigError, DomainError, InfeasibleModelError
 from tsgof.distributions import QGaussianParams, qgauss_sample
+from tsgof.entropy import tsallis_knn_estimate
 from tsgof.gof import (
     TestResult,
     gof_statistic,
     infeasibility_reason,
     null_max_entropy,
+    null_replicates,
     require_feasible,
     run_test,
 )
@@ -165,6 +167,44 @@ class TestGofStatistic:
         last_mean, last_se = summaries[-1]
         assert last_mean <= first_mean + 2.0 * (first_se + last_se)
         assert last_se < first_se
+
+
+class TestNullReplicates:
+    @staticmethod
+    def replicates(ks, engine="tree", statistic=True, q=1.2, family="t1"):
+        streams = (RngStream(3, r) for r in range(12))
+        return null_replicates(80, 2, ks, q, family, streams, engine, statistic)
+
+    @pytest.mark.parametrize("engine", ["tree", "brute"])
+    @pytest.mark.parametrize("statistic", [True, False])
+    def test_columns_equal_single_k_runs(self, engine, statistic):
+        # common random numbers across k: one shared query serves every k
+        shared = self.replicates((1, 2, 3), engine, statistic)
+        assert shared.shape == (12, 3)
+        for j, k in enumerate((1, 2, 3)):
+            alone = self.replicates((k,), engine, statistic)
+            assert shared[:, j].tobytes() == alone[:, 0].tobytes()
+
+    def test_entries_equal_per_draw_statistic_and_estimate(self):
+        stats = self.replicates((1, 3))
+        estimates = self.replicates((1, 3), statistic=False)
+        for r in range(12):
+            draw = null_draws(80, 3, r)
+            for j, k in enumerate((1, 3)):
+                assert stats[r, j] == gof_statistic(draw, k, 1.2, "t1").statistic
+                assert estimates[r, j] == tsallis_knn_estimate(draw, k, 1.2).h_hat
+
+    def test_estimates_need_no_covariance_bridge(self):
+        # q=1.5 at m=2 has no covariance, but it can be drawn and estimated
+        assert self.replicates((1,), statistic=False, q=1.5).shape == (12, 1)
+        with pytest.raises(InfeasibleModelError, match="covariance bridge"):
+            self.replicates((1,), q=1.5)
+
+    def test_any_infeasible_k_raises(self):
+        with pytest.raises(InfeasibleModelError, match="q < k \\+ 1 = 2"):
+            null_replicates(80, 1, (2, 1), 2.5, "t1", [], statistic=False)
+        with pytest.raises(InfeasibleModelError, match="N > k"):
+            null_replicates(5, 1, (1, 5), 0.5, "t2", [])
 
 
 class TestRunTest:

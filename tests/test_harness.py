@@ -261,7 +261,10 @@ class TestResumability:
         ],
     )
     def test_interrupted_run_keeps_finished_cells(self, tmp_path, monkeypatch, workers):
-        config = tiny_config(grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(60, 80, 100)),))
+        # one task per (q, m, N) point, so four N values give a task at index 3
+        config = tiny_config(
+            grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(60, 80, 100, 120)),)
+        )
         run_experiment(config, out_dir=tmp_path / "clean", workers=1)
         monkeypatch.setattr(harness, "_compute_task", _interrupt_at_task_3)
         with pytest.raises(Interrupted):
@@ -276,6 +279,143 @@ class TestResumability:
         a = tiny_config()
         b = tiny_config(master_seed=8)
         assert a.config_hash() != b.config_hash()
+
+
+class TestPlan:
+    def test_one_task_per_point_places_every_cell_once(self):
+        config = tiny_config(
+            grids=(
+                GridBlock(qs=(1.2, 1.3), ms=(1, 2), ks=(1, 2, 3), ns=(60, 80)),
+                GridBlock(qs=(1.2,), ms=(2,), ks=(2,), ns=(60, 90, 60)),
+            )
+        )
+        tasks = harness._plan(config)
+        assert len(tasks) == 2 * 2 * 2 + 3
+        placed = {}
+        for task in tasks:
+            for position, k in zip(task.positions, task.ks, strict=True):
+                placed[position] = (task.q, task.m, k, task.n)
+        assert placed == dict(enumerate(config.cells()))
+
+
+class TestContentKeyedStreams:
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("critical-values", "critical_values.csv"), ("consistency-curves", "consistency.csv")],
+    )
+    def test_added_grid_values_leave_existing_rows(self, tmp_path, kind, name):
+        small = GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(60, 80))
+        grown = GridBlock(qs=(1.2,), ms=(2,), ks=(1, 3, 2), ns=(60, 70, 80))
+        rows = {}
+        for label, block in (("small", small), ("grown", grown)):
+            run_experiment(tiny_config(kind=kind, grids=(block,)), out_dir=tmp_path / label)
+            lines = (tmp_path / label / name).read_text().splitlines()[1:]
+            rows[label] = {tuple(line.split(",")[:4]): line for line in lines}
+        assert len(rows["small"]) == 4 and len(rows["grown"]) == 9
+        for cell, line in rows["small"].items():
+            assert rows["grown"][cell] == line
+
+    def test_stream_layout_keys_the_cache(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        run_experiment(config, out_dir=tmp_path / "clean")
+        monkeypatch.setattr(harness, "STREAM_LAYOUT", 1)
+        other = config.config_hash()
+        run_experiment(config, out_dir=tmp_path / "run")
+        # a well-formed cell from the other layout, with a value no run gives
+        cell = tmp_path / "run" / ".cells" / other / "task-000000.json"
+        payload = json.loads(cell.read_text())
+        payload["cells"][0]["critical_values.csv"][0][5] = 123.0
+        cell.write_text(json.dumps(payload))
+        monkeypatch.undo()
+        assert config.config_hash() != other
+        run_experiment(config, out_dir=tmp_path / "run")
+        caches = sorted(p.name for p in (tmp_path / "run" / ".cells").iterdir())
+        assert caches == sorted([other, config.config_hash()])
+        for name in ("critical_values.csv", "critical_values_manifest.json"):
+            clean = (tmp_path / "clean" / name).read_bytes()
+            assert (tmp_path / "run" / name).read_bytes() == clean
+        manifest = json.loads((tmp_path / "run" / "critical_values_manifest.json").read_text())
+        assert manifest["stream_layout"] == harness.STREAM_LAYOUT == 2
+
+
+def _drop_cell(payload):
+    payload["cells"].pop()
+
+
+def _foreign_file(payload):
+    payload["cells"][0]["normality.csv"] = payload["cells"][0].pop("critical_values.csv")
+
+
+def _short_row(payload):
+    payload["cells"][0]["critical_values.csv"][0].pop()
+
+
+def _marker_without_reason(payload):
+    payload["cells"][0]["critical_values.csv"][0][5] = "infeasible"
+
+
+def _reason_without_marker(payload):
+    payload["cells"][0]["reason"] = "made up"
+
+
+def _other_cell(payload):
+    payload["cells"][0]["critical_values.csv"][0][2] = 3  # k of no cell in this task
+
+
+def _boolean_value(payload):
+    payload["cells"][0]["critical_values.csv"][0][5] = True
+
+
+def _infinite_value(payload):
+    payload["cells"][0]["critical_values.csv"][0][5] = math.inf
+
+
+class TestCellValidation:
+    @pytest.fixture(scope="class")
+    def computed(self):
+        config = tiny_config(grids=(GridBlock(qs=(1.2, 1.5), ms=(2,), ks=(1, 2), ns=(60,)),))
+        tasks = harness._plan(config)
+        return config, tasks, [harness._compute_task(config, task) for task in tasks]
+
+    def test_computed_payloads_are_valid(self, computed):
+        config, tasks, payloads = computed
+        assert "reason" in payloads[1]["cells"][0]  # q=1.5 is past the covariance bridge
+        for task, payload in zip(tasks, payloads):
+            assert harness._cell_problem(config, task, json.loads(json.dumps(payload))) is None
+
+    def test_nan_only_as_log_density_of_empty_bin(self):
+        config = tiny_config(
+            kind="distribution-shape",
+            grids=(GridBlock(qs=(1.5,), ms=(1,), ks=(1,), ns=(60,)),),
+            replications=20,
+            draws=5000,
+        )
+        task = harness._plan(config)[-1]
+        payload = json.loads(json.dumps(harness._compute_task(config, task)))
+        rows = payload["cells"][0]["shape_sample_density.csv"]
+        assert any(math.isnan(row[6]) for row in rows)
+        assert harness._cell_problem(config, task, payload) is None
+        rows[0][5] = math.nan  # the density column
+        assert harness._cell_problem(config, task, payload)
+
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            _drop_cell,
+            _foreign_file,
+            _short_row,
+            _marker_without_reason,
+            _reason_without_marker,
+            _other_cell,
+            _boolean_value,
+            _infinite_value,
+        ],
+    )
+    def test_doctored_payload_is_refused(self, computed, doctor):
+        config, tasks, payloads = computed
+        payload = json.loads(json.dumps(payloads[0]))
+        doctor(payload)
+        assert harness._cell_problem(config, tasks[0], payload)
 
 
 class TestNormalitySweep:

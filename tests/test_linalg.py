@@ -120,6 +120,19 @@ class TestSampleMeanCov:
         assert np.array_equal(mean_a, mean_b)
         assert np.array_equal(cov_a.entries, cov_b.entries)
 
+    def test_bits_equal_fsum_over_array(self):
+        # heavy tails over 16 decades: exact summation of the same terms
+        gen = RngStream(5, 0).generator
+        x = gen.standard_t(1.5, size=(3000, 3)) * 10.0 ** gen.integers(-8, 8, size=(3000, 3))
+        mean, cov = sample_mean_cov(x)
+        ref_mean = np.array([math.fsum(x[:, j]) for j in range(3)]) / 3000
+        assert mean.tobytes() == ref_mean.tobytes()
+        centered = x - ref_mean
+        for i in range(3):
+            for j in range(3):
+                ref = math.fsum(centered[:, i] * centered[:, j]) / 2999
+                assert cov.entries[i, j].tobytes() == np.float64(ref).tobytes()
+
     def test_rejects_single_row(self):
         with pytest.raises(DomainError):
             sample_mean_cov([[1.0, 2.0]])

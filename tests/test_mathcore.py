@@ -7,6 +7,7 @@ import pytest
 from tsgof.errors import DomainError
 from tsgof.mathcore import (
     RngStream,
+    content_index,
     draw_gamma,
     log_gamma,
     unit_ball_volume,
@@ -94,6 +95,27 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(DomainError):
             RngStream(0, 2**64)
+
+
+class TestContentIndex:
+    def test_pinned_value(self):
+        # the stream layout: a change here changes result bytes and needs a
+        # harness.STREAM_LAYOUT bump
+        assert content_index("t1", 1.2, 2, 100, 7) == 12022227510290988258
+
+    def test_every_part_matters(self):
+        base = ("t1", 1.2, 2, 100, 7)
+        variants = [
+            ("t2", 1.2, 2, 100, 7),
+            ("t1", float(np.nextafter(1.2, 2.0)), 2, 100, 7),
+            ("t1", 1.2, 3, 100, 7),
+            ("t1", 1.2, 2, 101, 7),
+            ("t1", 1.2, 2, 100, 8),
+            ("t1", 1.2, 2, 7, 100),  # order of parts matters too
+        ]
+        indices = {content_index(*parts) for parts in [base] + variants}
+        assert len(indices) == len(variants) + 1
+        assert all(0 <= i < 2**64 for i in indices)
 
 
 class TestDraws:
