@@ -70,12 +70,7 @@ from .harness import (
     GridBlock,
     load_config,
     parse_config,
-    run_consistency_curves,
-    run_convergence,
-    run_critical_values,
-    run_distribution_shape,
     run_experiment,
-    run_normality_sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,6 @@ V_m the unit-ball volume. The per-point terms are evaluated in log space,
 which keeps tiny neighbor distances from underflowing rho^m.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -20,9 +19,7 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError
 from .knn import knn_distances
 from .linalg import as_sample_matrix
-from .mathcore import RngStream, log_gamma, unit_ball_volume
-
-logger = logging.getLogger(__name__)
+from .mathcore import log_gamma, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
     if q > 1 and np.min(rho) == 0.0:
         raise DegenerateSampleError(
             "duplicate points give zero neighbor distances, undefined for q > 1 "
-            "(pass on_duplicates='jitter' with an RngStream to perturb them)"
+            "(remove or perturb the duplicates, or use q < 1)"
         )
     log_scale = math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
     with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
@@ -83,48 +80,17 @@ def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
     return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
 
 
-def tsallis_knn_estimate(
-    x,
-    k: int,
-    q: float,
-    engine: str = "tree",
-    on_duplicates: str = "error",
-    rng: RngStream | None = None,
-) -> EntropyEstimate:
+def tsallis_knn_estimate(x, k: int, q: float, engine: str = "tree") -> EntropyEstimate:
     """Estimate integral(f^q) and the Tsallis entropy from a sample.
 
     Duplicate points produce zero neighbor distances; for q > 1 those make
-    the estimate infinite, so they raise DegenerateSampleError unless
-    on_duplicates='jitter' is passed together with an RngStream, in which
-    case the sample is perturbed uniformly by 1e-9 times the bounding-box
-    diagonal (the event is logged).
+    the estimate infinite, so they raise DegenerateSampleError.
     """
     a = as_sample_matrix(x)
     n, m = a.shape
     if not (n > k):
         raise DomainError(f"need N > k, got N={n}, k={k}")
     knn_bias_constant(k, q)  # validates k and q before the query
-    if on_duplicates not in ("error", "jitter"):
-        raise DomainError(f"on_duplicates must be 'error' or 'jitter', got {on_duplicates!r}")
-
-    rho = knn_distances(a, k, engine=engine)[:, -1]
-    try:
-        return lps_estimate(rho, k, q, m)
-    except DegenerateSampleError:
-        if on_duplicates == "error":
-            raise
-    if rng is None:
-        raise DomainError("on_duplicates='jitter' requires an RngStream")
-    diameter = math.sqrt(float(np.sum((a.max(axis=0) - a.min(axis=0)) ** 2)))
-    if diameter == 0.0:
-        raise DegenerateSampleError("all sample points identical; jitter has no scale")
-    eps = 1e-9 * diameter
-    logger.warning(
-        "sample has %d zero neighbor distances; jittering all points by +/- %.3e",
-        int(np.sum(rho == 0.0)),
-        eps,
-    )
-    a = a + rng.generator.uniform(-eps, eps, size=a.shape)
     return lps_estimate(knn_distances(a, k, engine=engine)[:, -1], k, q, m)
 
 

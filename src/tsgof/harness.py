@@ -4,20 +4,29 @@ persisted CSV results.
 Determinism contract
 --------------------
 Output bytes are a pure function of (config, master_seed). The plan has
-one task per (grid block, q, m, N) point, and its replicate rep draws from
+one task per distinct (q, m, N) point with a feasible k, over every grid
+block, and its replicate rep draws from
 RngStream(master_seed, content_index(family, q, m, N, rep)): the stream is
 keyed by what the replicate simulates, not by where its cell sits in the
-grid. Every k of the block is read off the same draws (common random
+grid. Every k of the point is read off the same draws (common random
 numbers across k), and adding or reordering grid values leaves the other
 cells' rows unchanged (regression.csv, which fits over each group's N
 values, does change). Worker count and scheduling never change results.
 
-Each task's result is cached under `<out>/.cells/<key>/` as soon as it
-arrives, where the key hashes the config, the toolkit version and
-STREAM_LAYOUT, the version of the replicate-to-stream mapping. Reruns
-reuse only valid cells of the same key and recompute the rest (missing,
-unreadable, or with a payload that does not fit the kind) before
-reassembling byte-identical files.
+A task's result is a matrix: the (replicates x ks) output of
+gof.null_replicates for the point's feasible ks or, for a
+distribution-shape sample density, the (bins x 3) [bin_left, bin_right,
+density] histogram of one (q, m) member's raw draws. It is cached as soon
+as it arrives, as {"point": [q, m, N, ks], "matrix": rows} (N = 0 and
+ks = [] for a histogram), under `<out>/.cells/<key>/`, where the key
+hashes the config, the toolkit version and STREAM_LAYOUT, the version of
+the replicate-to-stream mapping. The experiment kind's reducer turns the
+columns into rows, and infeasible cells into markers, only when the files
+are assembled, so a cell file names no kind and no file. A rerun reuses a
+cell file only if it holds exactly the task's tag and a matrix of the
+task's shape whose entries are finite floats; a missing, unreadable or
+refused file is recomputed (a refusal is logged), and the files are
+reassembled byte-identically.
 
 Result files (CSV, UTF-8, comma-separated, '.' decimal, header mandatory)
 ----------------------------------------------------------------------
@@ -61,13 +70,14 @@ from .statkit import empirical_quantile, ols_slope_with_offset, shapiro_wilk
 
 logger = logging.getLogger(__name__)
 
-KINDS = (
-    "critical-values",
-    "normality-sweep",
-    "convergence",
-    "consistency-curves",
-    "distribution-shape",
-)
+# each experiment kind and the file where its infeasible cells are marked
+KINDS = {
+    "critical-values": "critical_values.csv",
+    "normality-sweep": "normality.csv",
+    "convergence": "convergence.csv",
+    "consistency-curves": "consistency.csv",
+    "distribution-shape": "shape_statistics.csv",
+}
 
 # version of the mapping from replicates to random streams; a change to it
 # changes result bytes, so it is part of the cell-cache key
@@ -104,11 +114,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r} (expected one of {KINDS})")
+            raise ConfigError(
+                f"unknown experiment kind {self.kind!r} (expected one of {tuple(KINDS)})"
+            )
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r} (expected 't1' or 't2')")
         if not self.grids:
             raise ConfigError("at least one [grid] block is required")
+        for block in self.grids:
+            for key, values in (("m", block.ms), ("k", block.ks)):
+                if any(v < 1 for v in values):
+                    raise ConfigError(f"grid key {key!r} must be at least 1, got {min(values)}")
         if self.kind == "critical-values" and self.replications < 100:
             raise ConfigError("critical-value tables require M >= 100 replications")
         if self.replications < 2:
@@ -155,6 +171,7 @@ _TOP_KEYS = {
     "engine": str,
 }
 _GRID_KEYS = {"q": float, "m": int, "k": int, "N": int}
+_FIELDS = {"M": "replications", "n": "inner_batch"}  # other keys name their field
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -226,24 +243,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if missing:
             raise ConfigError(f"{source}: [grid] block {i} is missing keys {missing}")
         blocks.append(GridBlock(qs=g["q"], ms=g["m"], ks=g["k"], ns=g["N"]))
-    kwargs = dict(kind=top["kind"], grids=tuple(blocks))
-    if "family" in top:
-        kwargs["family"] = top["family"]
-    if "master_seed" in top:
-        kwargs["master_seed"] = top["master_seed"]
-    if "alpha" in top:
-        kwargs["alpha"] = top["alpha"]
-    if "M" in top:
-        kwargs["replications"] = top["M"]
-    if "n" in top:
-        kwargs["inner_batch"] = top["n"]
-    if "draws" in top:
-        kwargs["draws"] = top["draws"]
-    if "out" in top:
-        kwargs["out"] = top["out"]
-    if "engine" in top:
-        kwargs["engine"] = top["engine"]
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(grids=tuple(blocks), **{_FIELDS.get(k, k): v for k, v in top.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -278,10 +278,14 @@ class CriticalValueTable:
     def __init__(self, rows):
         self.rows = list(rows)
         for row in self.rows:
-            if row.crit is not None and not math.isfinite(row.crit):
-                raise DomainError("critical values must be finite")
-            if row.replications < 100:
-                raise DomainError("critical-value tables require M >= 100")
+            self._check_row(row)
+
+    @staticmethod
+    def _check_row(row: CriticalValueRow) -> None:
+        if row.crit is not None and not math.isfinite(row.crit):
+            raise DomainError("critical values must be finite")
+        if row.replications < 100:
+            raise DomainError("critical-value tables require M >= 100")
 
     def lookup(self, q: float, m: int, k: int, n: int, alpha: float) -> float | None:
         for row in self.rows:
@@ -312,21 +316,20 @@ class CriticalValueTable:
             if len(parts) != 8:
                 raise ConfigError(f"{path}:{lineno}: expected 8 columns, got {len(parts)}")
             try:
-                crit = None if parts[5] == "infeasible" else float(parts[5])
-                rows.append(
-                    CriticalValueRow(
-                        q=float(parts[0]),
-                        m=int(parts[1]),
-                        k=int(parts[2]),
-                        n=int(parts[3]),
-                        alpha=float(parts[4]),
-                        crit=crit,
-                        replications=int(parts[6]),
-                        seed=int(parts[7]),
-                    )
+                row = CriticalValueRow(
+                    q=float(parts[0]),
+                    m=int(parts[1]),
+                    k=int(parts[2]),
+                    n=int(parts[3]),
+                    alpha=float(parts[4]),
+                    crit=None if parts[5] == "infeasible" else float(parts[5]),
+                    replications=int(parts[6]),
+                    seed=int(parts[7]),
                 )
-            except ValueError as exc:
+                cls._check_row(row)
+            except (ValueError, DomainError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            rows.append(row)
         return cls(rows)
 
 
@@ -338,12 +341,11 @@ class CriticalValueTable:
 @dataclass(frozen=True)
 class _Task:
     index: int
-    role: str  # "point" | "density"
     q: float
     m: int
-    ks: tuple  # (0,) for a density task
-    n: int
-    positions: tuple  # where each k's cell sits in the file order
+    n: int  # 0 for a sample-density task
+    ks: tuple  # the point's feasible ks; () for a sample-density task
+    shape: tuple  # (rows, columns) of the task's matrix; rows None for histogram bins
 
 
 _HEADERS = {
@@ -356,45 +358,73 @@ _HEADERS = {
     "shape_stat_density.csv": "q,m,k,N,bin_left,bin_right,density,M,seed",
     "shape_stat_qq.csv": "q,m,k,N,i,standardized_q,normal_quantile,M,seed",
     "shape_sample_density.csv": "q,m,draws,bin_left,bin_right,density,log_density,seed",
-    "_regression_input": "q,m,k,N,mean_abs",  # cached per cell, not written
 }
 
-# the files one cell of each kind writes; an infeasible cell writes only the
-# first, as one marker row
-_CELL_FILES = {
-    "critical-values": ("critical_values.csv",),
-    "normality-sweep": ("normality.csv",),
-    "convergence": ("convergence.csv", "_regression_input"),
-    "consistency-curves": ("consistency.csv",),
-    "distribution-shape": ("shape_statistics.csv", "shape_stat_density.csv", "shape_stat_qq.csv"),
-    "density": ("shape_sample_density.csv",),
-}
+
+def _statistic(config: ExperimentConfig) -> bool:
+    """Whether the replicates are statistics Q; consistency curves need only
+    the estimates h_hat, and so no covariance bridge."""
+    return config.kind != "consistency-curves"
+
+
+def _members(config: ExperimentConfig) -> list[tuple]:
+    """The distinct (q, m) members, in file order, whose raw draws a
+    distribution-shape run histograms; none for the other kinds."""
+    if config.kind != "distribution-shape":
+        return []
+    return list(dict.fromkeys((q, m) for q, m, _, _ in config.cells()))
 
 
 def _plan(config: ExperimentConfig) -> list[_Task]:
-    """One task per (grid block, q, m, N) point, computing every k of its
-    block from shared draws; then, for distribution-shape, one density task
-    per (q, m). Positions index the row-major config.cells() order, with
-    density tasks after the last cell."""
-    tasks = []
-    offset = 0
-    for block in config.grids:
-        n_m, n_k, n_n = len(block.ms), len(block.ks), len(block.ns)
-        for qi, q in enumerate(block.qs):
-            for mi, m in enumerate(block.ms):
-                for ni, n in enumerate(block.ns):
-                    first = offset + (qi * n_m + mi) * n_k * n_n + ni
-                    positions = tuple(range(first, first + n_k * n_n, n_n))
-                    tasks.append(_Task(len(tasks), "point", q, m, block.ks, n, positions))
-        offset += len(block.qs) * n_m * n_k * n_n
-    if config.kind == "distribution-shape":
-        seen = []
-        for q, m, _, _ in config.cells():
-            if (q, m) not in seen:
-                seen.append((q, m))
-        for j, (q, m) in enumerate(seen):
-            tasks.append(_Task(len(tasks), "density", q, m, (0,), 0, (offset + j,)))
+    """One task per distinct (q, m, N) point with a feasible k, computing
+    all its feasible ks (over every grid block) from shared draws; then one
+    task per feasible (q, m) sample density."""
+    points: dict[tuple, list] = {}
+    for q, m, k, n in config.cells():
+        if infeasibility_reason(config.family, q, m, k, n, _statistic(config)) is None:
+            ks = points.setdefault((q, m, n), [])
+            if k not in ks:
+                ks.append(k)
+    reps = config.replications
+    if config.kind == "normality-sweep":
+        reps *= config.inner_batch  # replicate b*n + i is statistic i of batch b
+    tasks = [
+        _Task(i, q, m, n, tuple(ks), (reps, len(ks)))
+        for i, ((q, m, n), ks) in enumerate(points.items())
+    ]
+    for q, m in _members(config):
+        if infeasibility_reason(config.family, q, m, bridge=False) is None:
+            tasks.append(_Task(len(tasks), q, m, 0, (), (None, 3)))
     return tasks
+
+
+def _tag(task: _Task) -> list:
+    return [task.q, task.m, task.n, list(task.ks)]
+
+
+def _histogram(values: np.ndarray) -> np.ndarray:
+    """(bins, 3) matrix of [bin_left, bin_right, density] per
+    Freedman-Diaconis bin."""
+    edges = np.histogram_bin_edges(values, bins="fd")
+    counts, edges = np.histogram(values, bins=edges)
+    density = counts / (counts.sum() * np.diff(edges))
+    return np.column_stack((edges[:-1], edges[1:], density))
+
+
+def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
+    """The task's matrix, with its tag, as a JSON-ready payload."""
+    if task.ks:
+        index = partial(content_index, config.family, task.q, task.m, task.n)
+        streams = (RngStream(config.master_seed, index(rep)) for rep in range(task.shape[0]))
+        matrix = null_replicates(
+            task.n, task.m, task.ks, task.q, config.family, streams, config.engine,
+            _statistic(config),
+        )
+    else:
+        rng = RngStream(config.master_seed, content_index(config.family, task.q, task.m, 0, 0))
+        draws = qgauss_sample(QGaussianParams(m=task.m, q=task.q), config.draws, rng)
+        matrix = _histogram(draws[:, 0])
+    return {"point": _tag(task), "matrix": matrix.tolist()}
 
 
 def _row(config: ExperimentConfig, name: str, point, **values) -> list:
@@ -410,18 +440,13 @@ def _row(config: ExperimentConfig, name: str, point, **values) -> list:
     ]
 
 
-def _histogram_rows(values: np.ndarray):
-    """(bin_left, bin_right, density) per Freedman-Diaconis bin."""
-    edges = np.histogram_bin_edges(values, bins="fd")
-    counts, edges = np.histogram(values, bins=edges)
-    density = counts / (counts.sum() * np.diff(edges))
-    return [(float(a), float(b), float(d)) for a, b, d in zip(edges[:-1], edges[1:], density)]
-
-
-def _reduce(config: ExperimentConfig, point, values: np.ndarray) -> dict:
-    """One feasible cell's {filename: rows}, from its replicate column:
-    statistics Q, or estimates h_hat for consistency curves."""
+def _reduce(config: ExperimentConfig, point, values) -> dict:
+    """One cell's {filename: rows}, from its replicate column (statistics Q,
+    or estimates h_hat for consistency curves); values None marks an
+    infeasible cell with one row in the kind's marker file."""
     kind = config.kind
+    if values is None:
+        return {KINDS[kind]: [_row(config, KINDS[kind], point)]}
     if kind == "critical-values":
         crit = empirical_quantile(values, 1.0 - config.alpha)
         return {"critical_values.csv": [_row(config, "critical_values.csv", point, crit=crit)]}
@@ -431,11 +456,8 @@ def _reduce(config: ExperimentConfig, point, values: np.ndarray) -> dict:
         return {"normality.csv": [_row(config, "normality.csv", point, mean_p=mean_p)]}
     mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
     if kind == "convergence":
-        mean_abs = float(np.mean(np.abs(values)))
-        return {
-            "convergence.csv": [_row(config, "convergence.csv", point, mean_q=mean, std_q=std)],
-            "_regression_input": [_row(config, "_regression_input", point, mean_abs=mean_abs)],
-        }
+        row = _row(config, "convergence.csv", point, mean_q=mean, std_q=std)
+        return {"convergence.csv": [row]}
     if kind == "consistency-curves":
         h_true = qgauss_tsallis_entropy(QGaussianParams(m=point[1], q=point[0]))
         row = _row(config, "consistency.csv", point, mean_h=mean, std_h=std, h_true=h_true)
@@ -450,7 +472,7 @@ def _reduce(config: ExperimentConfig, point, values: np.ndarray) -> dict:
         ],
         "shape_stat_density.csv": [
             _row(config, "shape_stat_density.csv", point, bin_left=a, bin_right=b, density=d)
-            for a, b, d in _histogram_rows(values)
+            for a, b, d in _histogram(values).tolist()
         ],
         "shape_stat_qq.csv": [
             _row(config, "shape_stat_qq.csv", point, i=i + 1, standardized_q=float(s),
@@ -460,53 +482,27 @@ def _reduce(config: ExperimentConfig, point, values: np.ndarray) -> dict:
     }
 
 
-def _density_cell(config, task):
-    name, point = "shape_sample_density.csv", (task.q, task.m, 0, 0)
-    reason = infeasibility_reason(config.family, task.q, task.m, bridge=False)
-    if reason:
-        return {name: [_row(config, name, point)], "reason": reason}
-    rng = RngStream(config.master_seed, content_index(config.family, task.q, task.m, 0, 0))
-    draws = qgauss_sample(QGaussianParams(m=task.m, q=task.q), config.draws, rng)
+def _regression_rows(config: ExperimentConfig, columns: dict) -> list:
+    """Fit the offset log-log regression per (q, m, k) group, in file order.
+
+    The regressand is the mean absolute statistic per N (positive by
+    construction); groups without at least 3 usable N values (all cells
+    infeasible, say) are emitted as explicit infeasible rows.
+    """
+    groups: dict[tuple, dict] = {}
+    for q, m, k, n in config.cells():
+        mean_abs = groups.setdefault((q, m, k), {})
+        if (q, m, k, n) in columns:
+            mean_abs[n] = float(np.mean(np.abs(columns[q, m, k, n])))
     rows = []
-    for left, right, dens in _histogram_rows(draws[:, 0]):
-        log_density = math.log(dens) if dens > 0 else float("nan")
-        rows.append(_row(config, name, point, bin_left=left, bin_right=right, density=dens,
-                         log_density=log_density))
-    return {name: rows}
-
-
-def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
-    """Compute one task: {"cells": [one cell per k of task.ks]}, each cell
-    {filename: rows} plus a 'reason' key when it is infeasible."""
-    if task.role == "density":
-        return {"cells": [_density_cell(config, task)]}
-    kind = config.kind
-    statistic = kind != "consistency-curves"  # consistency curves need no covariance
-    reasons = [
-        infeasibility_reason(config.family, task.q, task.m, k, task.n, bridge=statistic)
-        for k in task.ks
-    ]
-    feasible = [k for k, reason in zip(task.ks, reasons) if reason is None]
-    columns = iter(())
-    if feasible:
-        count = config.replications
-        if kind == "normality-sweep":
-            count *= config.inner_batch  # replicate b*n + i is statistic i of batch b
-        index = partial(content_index, config.family, task.q, task.m, task.n)
-        streams = (RngStream(config.master_seed, index(rep)) for rep in range(count))
-        matrix = null_replicates(
-            task.n, task.m, feasible, task.q, config.family, streams, config.engine, statistic
-        )
-        columns = iter(matrix.T)
-    cells = []
-    for k, reason in zip(task.ks, reasons):
-        point = (task.q, task.m, k, task.n)
-        if reason:
-            name = _CELL_FILES[kind][0]
-            cells.append({name: [_row(config, name, point)], "reason": reason})
-        else:
-            cells.append(_reduce(config, point, next(columns)))
-    return {"cells": cells}
+    for (q, m, k), mean_abs in groups.items():
+        usable = [(n, v) for n, v in sorted(mean_abs.items()) if v > 0]
+        if len(usable) < 3:
+            rows.append([q, m, k, "infeasible", "infeasible", "infeasible"])
+            continue
+        fit = ols_slope_with_offset([n for n, _ in usable], [v for _, v in usable])
+        rows.append([q, m, k, fit.slope, fit.intercept, fit.residual_stderr])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -529,47 +525,31 @@ def deterministic_map(fn, items, workers: int = 1) -> list:
     return list(_ordered_map(fn, items, workers))
 
 
-def _cell_problem(config: ExperimentConfig, task: _Task, payload) -> str | None:
-    """Why a cached task payload cannot be reused, or None if it can: one
-    cell per k; an infeasible cell is its reason and the exact marker row;
-    any other cell has exactly its kind's files, and rows whose coordinate
-    and setting columns are the cell's and whose value columns are finite
-    numbers (NaN allowed as the log density of an empty bin)."""
-    cells = payload.get("cells") if isinstance(payload, dict) else None
-    if not isinstance(cells, list) or len(cells) != len(task.ks):
-        return f"expected a list of {len(task.ks)} cells"
-    files = _CELL_FILES["density" if task.role == "density" else config.kind]
-    for k, cell in zip(task.ks, cells):
-        point = (task.q, task.m, k, task.n)
-        if not isinstance(cell, dict):
-            return "a cell is not an object"
-        if "reason" in cell:
-            marker = {files[0]: [_row(config, files[0], point)], "reason": cell["reason"]}
-            if cell != marker or not (isinstance(cell["reason"], str) and cell["reason"]):
-                return f"cell {point} is not an infeasible marker with a reason"
-            continue
-        if set(cell) != set(files):
-            return f"cell {point} holds {sorted(cell)}, expected {sorted(files)}"
-        for name in files:
-            template = _row(config, name, point)
-            if not isinstance(cell[name], list) or not cell[name]:
-                return f"{name} of cell {point} has no rows"
-            for row in cell[name]:
-                if not isinstance(row, list) or len(row) != len(template):
-                    return f"{name} row {row!r} does not have {len(template)} columns"
-                for col, value, fixed in zip(_HEADERS[name].split(","), row, template):
-                    if fixed != "infeasible":
-                        if value != fixed:
-                            return f"{name} row {row!r} is not for cell {point}"
-                    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                        return f"{name} value {value!r} is not a number"
-                    elif not math.isfinite(value):
-                        if not (col == "log_density" and math.isnan(value)):
-                            return f"{name} value {value!r} is not finite"
+def _cell_problem(task: _Task, payload) -> str | None:
+    """Why a cached payload cannot be reused, or None if it can: it holds
+    exactly the task's tag and a matrix of the task's shape whose entries
+    are finite floats."""
+    if not isinstance(payload, dict) or set(payload) != {"point", "matrix"}:
+        return "expected an object with keys 'point' and 'matrix'"
+    if payload["point"] != _tag(task):
+        return f"matrix is tagged {payload['point']!r}, expected {_tag(task)!r}"
+    rows, width = task.shape
+    matrix = payload["matrix"]
+    if (
+        not isinstance(matrix, list)
+        or not matrix
+        or rows not in (None, len(matrix))
+        or any(not isinstance(row, list) or len(row) != width for row in matrix)
+    ):
+        return f"matrix is not {rows or 'a'} x {width}"
+    for row in matrix:
+        for value in row:
+            if type(value) is not float or not math.isfinite(value):
+                return f"matrix value {value!r} is not a finite float"
     return None
 
 
-def _read_cell(config: ExperimentConfig, task: _Task, cache_file: Path) -> dict | None:
+def _read_cell(task: _Task, cache_file: Path) -> dict | None:
     """A cached task result, or None when the file is missing, unreadable
     or holds an invalid payload."""
     try:
@@ -579,7 +559,7 @@ def _read_cell(config: ExperimentConfig, task: _Task, cache_file: Path) -> dict 
     except ValueError as exc:  # not JSON, or not UTF-8
         logger.warning("recomputing unreadable cell file %s: %s", cache_file, exc)
         return None
-    problem = _cell_problem(config, task, payload)
+    problem = _cell_problem(task, payload)
     if problem:
         logger.warning("recomputing invalid cell file %s: %s", cache_file, problem)
         return None
@@ -587,7 +567,7 @@ def _read_cell(config: ExperimentConfig, task: _Task, cache_file: Path) -> dict 
 
 
 def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
-    """Each task's result in plan order; with a cache_dir, valid cached
+    """The plan's tasks and their matrices; with a cache_dir, valid cached
     results are reused and each computed one is written as soon as it
     arrives."""
     tasks = _plan(config)
@@ -595,7 +575,7 @@ def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         for task in tasks:
-            cached = _read_cell(config, task, cache_dir / f"task-{task.index:06d}.json")
+            cached = _read_cell(task, cache_dir / f"task-{task.index:06d}.json")
             if cached is not None:
                 results[task.index] = cached
     pending = [t for t in tasks if t.index not in results]
@@ -605,7 +585,7 @@ def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
         results[task.index] = result
         if cache_dir is not None:
             _write_atomic(cache_dir / f"task-{task.index:06d}.json", json.dumps(result))
-    return tasks, [results[t.index] for t in tasks]
+    return tasks, [np.array(results[t.index]["matrix"], dtype=float) for t in tasks]
 
 
 def _fmt(value) -> str:
@@ -638,33 +618,6 @@ def _write_csv(path: Path, name: str, rows):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _regression_rows(convergence_rows, regression_inputs):
-    """Fit the offset log-log regression per (q, m, k) group.
-
-    The regressand is the mean absolute statistic per N (positive by
-    construction); groups without at least 3 usable N values (all cells
-    infeasible, say) are emitted as explicit infeasible rows.
-    """
-    inputs: dict[tuple, dict] = {}
-    for q, m, k, n, mean_abs in regression_inputs:
-        inputs.setdefault((q, m, k), {})[n] = mean_abs
-    order = []
-    for row in convergence_rows:
-        key = (row[0], row[1], row[2])
-        if key not in order:
-            order.append(key)
-    out = []
-    for key in order:
-        q, m, k = key
-        usable = [(n, v) for n, v in sorted(inputs.get(key, {}).items()) if v > 0]
-        if len({n for n, _ in usable}) < 3:
-            out.append([q, m, k, "infeasible", "infeasible", "infeasible"])
-            continue
-        fit = ols_slope_with_offset([n for n, _ in usable], [v for _, v in usable])
-        out.append([q, m, k, fit.slope, fit.intercept, fit.residual_stderr])
-    return out
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     """Run the configured experiment, write its files, return {name: path}.
 
@@ -675,35 +628,37 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     if out_dir is not None:
         out_dir = Path(out_dir)
         cache_dir = out_dir / ".cells" / config.config_hash()
-    tasks, results = _run_tasks(config, workers, cache_dir)
+    tasks, matrices = _run_tasks(config, workers, cache_dir)
+    columns = {
+        (t.q, t.m, k, t.n): matrix[:, j]
+        for t, matrix in zip(tasks, matrices)
+        for j, k in enumerate(t.ks)
+    }
+    densities = {(t.q, t.m): matrix for t, matrix in zip(tasks, matrices) if not t.ks}
 
     files: dict[str, list] = {}
-    regression_inputs = []
     infeasible = []
-    cells = sorted(
-        (
-            (position, task, k, cell)
-            for task, result in zip(tasks, results)
-            for position, k, cell in zip(task.positions, task.ks, result["cells"])
-        ),
-        key=lambda entry: entry[0],
-    )
-    for _, task, k, cell in cells:
-        for name, rows in cell.items():
-            if name == "reason":
-                continue
-            if name == "_regression_input":
-                regression_inputs.extend(rows)
-                continue
+    for point in config.cells():
+        reason = infeasibility_reason(config.family, *point, _statistic(config))
+        if reason:
+            infeasible.append(dict(zip(("q", "m", "k", "N"), point), reason=reason))
+        for name, rows in _reduce(config, point, columns.get(point)).items():
             files.setdefault(name, []).extend(rows)
-        if "reason" in cell:
-            infeasible.append(
-                {"q": task.q, "m": task.m, "k": k, "N": task.n, "reason": cell["reason"]}
-            )
     if config.kind == "convergence":
-        files["regression.csv"] = _regression_rows(
-            files.get("convergence.csv", []), regression_inputs
-        )
+        files["regression.csv"] = _regression_rows(config, columns)
+    for q, m in _members(config):
+        name, point = "shape_sample_density.csv", (q, m, 0, 0)
+        reason = infeasibility_reason(config.family, q, m, bridge=False)
+        if reason:
+            infeasible.append({"q": q, "m": m, "k": 0, "N": 0, "reason": reason})
+            files.setdefault(name, []).append(_row(config, name, point))
+            continue
+        for left, right, dens in densities[q, m].tolist():
+            log_density = math.log(dens) if dens > 0 else float("nan")
+            files.setdefault(name, []).append(_row(
+                config, name, point, bin_left=left, bin_right=right, density=dens,
+                log_density=log_density,
+            ))
 
     if out_dir is None:
         return files
@@ -721,7 +676,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
         "master_seed": config.master_seed,
         "stream_layout": STREAM_LAYOUT,
         "toolkit_version": __version__,
-        "files": sorted(n for n in files if n in _HEADERS),
+        "files": sorted(files),
         "infeasible_cells": infeasible,
     }
     if config.kind == "distribution-shape":
@@ -731,54 +686,3 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     paths[manifest_name] = manifest_path
     return paths
-
-
-# ---------------------------------------------------------------------------
-# convenience runners returning in-memory results
-# ---------------------------------------------------------------------------
-
-
-def run_critical_values(config: ExperimentConfig, workers: int = 1) -> CriticalValueTable:
-    if config.kind != "critical-values":
-        raise ConfigError(f"config kind is {config.kind!r}, expected 'critical-values'")
-    files = run_experiment(config, out_dir=None, workers=workers)
-    rows = []
-    for q, m, k, n, alpha, crit, m_out, seed in files["critical_values.csv"]:
-        rows.append(
-            CriticalValueRow(
-                q=q,
-                m=m,
-                k=k,
-                n=n,
-                alpha=alpha,
-                crit=None if isinstance(crit, str) else float(crit),
-                replications=m_out,
-                seed=seed,
-            )
-        )
-    return CriticalValueTable(rows)
-
-
-def run_normality_sweep(config: ExperimentConfig, workers: int = 1) -> list:
-    if config.kind != "normality-sweep":
-        raise ConfigError(f"config kind is {config.kind!r}, expected 'normality-sweep'")
-    return run_experiment(config, out_dir=None, workers=workers)["normality.csv"]
-
-
-def run_convergence(config: ExperimentConfig, workers: int = 1) -> tuple:
-    if config.kind != "convergence":
-        raise ConfigError(f"config kind is {config.kind!r}, expected 'convergence'")
-    files = run_experiment(config, out_dir=None, workers=workers)
-    return files["convergence.csv"], files["regression.csv"]
-
-
-def run_consistency_curves(config: ExperimentConfig, workers: int = 1) -> list:
-    if config.kind != "consistency-curves":
-        raise ConfigError(f"config kind is {config.kind!r}, expected 'consistency-curves'")
-    return run_experiment(config, out_dir=None, workers=workers)["consistency.csv"]
-
-
-def run_distribution_shape(config: ExperimentConfig, workers: int = 1) -> dict:
-    if config.kind != "distribution-shape":
-        raise ConfigError(f"config kind is {config.kind!r}, expected 'distribution-shape'")
-    return run_experiment(config, out_dir=None, workers=workers)

@@ -37,6 +37,8 @@ from tsgof.knn import knn_distances_bruteforce, knn_distances_tree
 from tsgof.linalg import SymPDMatrix, sample_mean_cov
 from tsgof.mathcore import RngStream
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = 2
 
 

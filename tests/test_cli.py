@@ -192,6 +192,20 @@ class TestGof:
         assert code == 2
         assert json.loads(err)["kind"] == "config"
 
+    @pytest.mark.parametrize("crit, replications", [("nan", "500"), ("0.1", "99")])
+    def test_bad_table_row_exit_2(self, capsys, tmp_path, crit, replications):
+        data = self.make_data(tmp_path)
+        table = tmp_path / "table.csv"
+        table.write_text(
+            f"q,m,k,N,alpha,crit,M,seed\n1.2,2,1,300,0.05,{crit},{replications},0\n"
+        )
+        code, _, err = run_cli(
+            ["gof", "--in", str(data), "--family", "t1", "--q", "1.2", "--k", "1",
+             "--table", str(table)], capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["kind"] == "config" and f"{table}:2:" in error["error"]
+
     def test_neither_table_nor_simulate_exit_2(self, capsys, tmp_path):
         data = self.make_data(tmp_path)
         code, _, _ = run_cli(
@@ -246,6 +260,17 @@ class TestExperimentCommands:
         code, _, _ = run_cli(["critical-values", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["m", "k"])
+    def test_grid_value_below_one_exit_2(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG.replace(f"\n{key} = ", f"\n{key} = 0 "))
+        code, _, err = run_cli(
+            ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["kind"] == "config" and repr(key) in error["error"]
+        assert not (tmp_path / "o").exists()
+
     def test_convergence_accepts_consistency_kind(self, capsys, tmp_path):
         cfg = tmp_path / "cc.cfg"
         cfg.write_text(
@@ -272,7 +297,7 @@ class TestExperimentCommands:
         assert tree_bytes(run) == tree_bytes(clean)
 
 
-    @pytest.mark.parametrize("payload", ["{}", "nan-crit"])
+    @pytest.mark.parametrize("payload", ["{}", "nan-crit", "other-point", "row-cache"])
     def test_invalid_cell_payload_recomputed(self, capsys, tmp_path, caplog, payload):
         cfg = tmp_path / "cv.cfg"
         cfg.write_text(TINY_CONFIG.replace("N = 60", "N = 60 80"))
@@ -281,12 +306,16 @@ class TestExperimentCommands:
         assert run_cli(args + [str(clean)], capsys)[0] == 0
         assert run_cli(args + [str(run)], capsys)[0] == 0
         (cell,) = run.glob(".cells/*/task-000001.json")
+        doctored = json.loads(cell.read_text())
         if payload == "{}":
-            cell.write_text("{}")
-        else:
-            doctored = json.loads(cell.read_text())
-            doctored["cells"][0]["critical_values.csv"][0][5] = "NaN"
-            cell.write_text(json.dumps(doctored))
+            doctored = {}
+        elif payload == "nan-crit":
+            doctored["matrix"][0][0] = math.nan
+        elif payload == "other-point":
+            doctored["point"][2] = 60  # the tag of task 0
+        else:  # a cell of the cache layout that held each kind's rows
+            doctored = {"cells": [{"critical_values.csv": [[1.2, 2, 1, 80, 0.05, 0.1, 100, 99]]}]}
+        cell.write_text(json.dumps(doctored))
         code, _, _ = run_cli(args + [str(run)], capsys)
         assert code == 0
         assert "invalid cell file" in caplog.text

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -145,25 +144,6 @@ class TestDuplicatePolicy:
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
         est = tsallis_knn_estimate(x, k=1, q=0.5)
         assert math.isfinite(est.h_hat)
-
-    def test_jitter_opt_in(self, caplog):
-        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
-        with caplog.at_level(logging.WARNING, logger="tsgof.entropy"):
-            est = tsallis_knn_estimate(
-                x, k=1, q=1.5, on_duplicates="jitter", rng=RngStream(59, 0)
-            )
-        assert math.isfinite(est.h_hat)
-        assert any("jitter" in record.message for record in caplog.records)
-
-    def test_jitter_requires_rng(self):
-        x = np.array([[0.0], [0.0], [1.0]])
-        with pytest.raises(DomainError):
-            tsallis_knn_estimate(x, k=1, q=1.5, on_duplicates="jitter")
-
-    def test_all_identical_points_cannot_jitter(self):
-        x = np.zeros((4, 2))
-        with pytest.raises(DegenerateSampleError):
-            tsallis_knn_estimate(x, k=1, q=1.5, on_duplicates="jitter", rng=RngStream(60, 0))
 
 
 class TestEstimateValidation:

@@ -16,12 +16,7 @@ from tsgof.harness import (
     GridBlock,
     load_config,
     parse_config,
-    run_consistency_curves,
-    run_convergence,
-    run_critical_values,
-    run_distribution_shape,
     run_experiment,
-    run_normality_sweep,
 )
 
 EXAMPLE = """
@@ -185,7 +180,8 @@ class TestCriticalValues:
         ).read_bytes()
 
     def test_in_memory_table(self):
-        table = run_critical_values(tiny_config(), workers=1)
+        rows = run_experiment(tiny_config(), workers=1)["critical_values.csv"]
+        table = CriticalValueTable([CriticalValueRow(*row) for row in rows])
         assert len(table.rows) == 2
         value = table.lookup(q=1.2, m=2, k=1, n=60, alpha=0.05)
         assert value is not None and math.isfinite(value)
@@ -199,8 +195,8 @@ class TestCriticalValues:
                 grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(150,)),),
                 replications=m_out,
             )
-            table = run_critical_values(config, workers=2)
-            return table.lookup(q=1.2, m=2, k=1, n=150, alpha=0.05)
+            (row,) = run_experiment(config, workers=2)["critical_values.csv"]
+            return row[5]
 
         from tsgof.gof import gof_statistic
         from tsgof.distributions import QGaussianParams, qgauss_sample
@@ -225,10 +221,6 @@ class TestCriticalValues:
         ]
         se = float(np.std(boot, ddof=1))
         assert abs(crit_500 - crit_1000) < 2.0 * se
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ConfigError):
-            run_critical_values(tiny_config(kind="convergence"))
 
 
 class TestResumability:
@@ -283,19 +275,26 @@ class TestResumability:
 
 class TestPlan:
     def test_one_task_per_point_places_every_cell_once(self):
+        # q=1.5 is past the covariance bridge at m=2 but not at m=1; the
+        # second block repeats N=60 and adds k=4 and N=90 to (1.2, 2)
         config = tiny_config(
             grids=(
-                GridBlock(qs=(1.2, 1.3), ms=(1, 2), ks=(1, 2, 3), ns=(60, 80)),
-                GridBlock(qs=(1.2,), ms=(2,), ks=(2,), ns=(60, 90, 60)),
+                GridBlock(qs=(1.2, 1.5), ms=(1, 2), ks=(1, 2, 3), ns=(60, 80)),
+                GridBlock(qs=(1.2,), ms=(2,), ks=(2, 4), ns=(60, 90, 60)),
             )
         )
         tasks = harness._plan(config)
-        assert len(tasks) == 2 * 2 * 2 + 3
-        placed = {}
+        assert [t.index for t in tasks] == list(range(len(tasks)))
+        points = [(t.q, t.m, t.n) for t in tasks]
+        assert len(points) == len(set(points)) == 3 * 2 + 1
+        placed = [(t.q, t.m, k, t.n) for t in tasks for k in t.ks]
+        feasible = {
+            cell for cell in config.cells() if infeasibility_reason("t1", *cell) is None
+        }
+        assert sorted(placed) == sorted(feasible)
+        assert tasks[points.index((1.2, 2, 60))].ks == (1, 2, 3, 4)
         for task in tasks:
-            for position, k in zip(task.positions, task.ks, strict=True):
-                placed[position] = (task.q, task.m, k, task.n)
-        assert placed == dict(enumerate(config.cells()))
+            assert task.shape == (config.replications, len(task.ks))
 
 
 class TestContentKeyedStreams:
@@ -324,7 +323,7 @@ class TestContentKeyedStreams:
         # a well-formed cell from the other layout, with a value no run gives
         cell = tmp_path / "run" / ".cells" / other / "task-000000.json"
         payload = json.loads(cell.read_text())
-        payload["cells"][0]["critical_values.csv"][0][5] = 123.0
+        payload["matrix"][0][0] = 123.0
         cell.write_text(json.dumps(payload))
         monkeypatch.undo()
         assert config.config_hash() != other
@@ -339,35 +338,54 @@ class TestContentKeyedStreams:
 
 
 def _drop_cell(payload):
-    payload["cells"].pop()
-
-
-def _foreign_file(payload):
-    payload["cells"][0]["normality.csv"] = payload["cells"][0].pop("critical_values.csv")
+    for row in payload["matrix"]:
+        row.pop()  # the k=2 column
 
 
 def _short_row(payload):
-    payload["cells"][0]["critical_values.csv"][0].pop()
+    payload["matrix"][0].pop()
+
+
+def _drop_replicate(payload):
+    payload["matrix"].pop()
 
 
 def _marker_without_reason(payload):
-    payload["cells"][0]["critical_values.csv"][0][5] = "infeasible"
-
-
-def _reason_without_marker(payload):
-    payload["cells"][0]["reason"] = "made up"
+    payload["matrix"][0][0] = "infeasible"
 
 
 def _other_cell(payload):
-    payload["cells"][0]["critical_values.csv"][0][2] = 3  # k of no cell in this task
+    payload["point"][2] = 80  # N of no task in this plan
+
+
+def _other_ks(payload):
+    payload["point"][3] = [1]
 
 
 def _boolean_value(payload):
-    payload["cells"][0]["critical_values.csv"][0][5] = True
+    payload["matrix"][0][0] = True
+
+
+def _integer_value(payload):
+    payload["matrix"][0][0] = 1
+
+
+def _nan_value(payload):
+    payload["matrix"][0][0] = math.nan
 
 
 def _infinite_value(payload):
-    payload["cells"][0]["critical_values.csv"][0][5] = math.inf
+    payload["matrix"][0][0] = math.inf
+
+
+def _extra_key(payload):
+    payload["reason"] = "made up"
+
+
+def _written_by_row_cache(payload):
+    # the layout of cell files that cached each kind's rows per cell
+    payload.clear()
+    payload["cells"] = [{"critical_values.csv": [[1.2, 2, 1, 60, 0.05, 0.1, 100, 7]]}]
 
 
 class TestCellValidation:
@@ -379,9 +397,11 @@ class TestCellValidation:
 
     def test_computed_payloads_are_valid(self, computed):
         config, tasks, payloads = computed
-        assert "reason" in payloads[1]["cells"][0]  # q=1.5 is past the covariance bridge
+        # q=1.5 is past the covariance bridge, so only q=1.2 has a task
+        assert [(t.q, t.m, t.n, t.ks) for t in tasks] == [(1.2, 2, 60, (1, 2))]
         for task, payload in zip(tasks, payloads):
-            assert harness._cell_problem(config, task, json.loads(json.dumps(payload))) is None
+            assert payload["point"] == [1.2, 2, 60, [1, 2]]
+            assert harness._cell_problem(task, json.loads(json.dumps(payload))) is None
 
     def test_nan_only_as_log_density_of_empty_bin(self):
         config = tiny_config(
@@ -392,30 +412,36 @@ class TestCellValidation:
         )
         task = harness._plan(config)[-1]
         payload = json.loads(json.dumps(harness._compute_task(config, task)))
-        rows = payload["cells"][0]["shape_sample_density.csv"]
+        assert (task.n, task.ks, task.shape) == (0, (), (None, 3))
+        assert harness._cell_problem(task, payload) is None
+        rows = run_experiment(config)["shape_sample_density.csv"]
+        assert [row[3:6] for row in rows] == payload["matrix"]
         assert any(math.isnan(row[6]) for row in rows)
-        assert harness._cell_problem(config, task, payload) is None
-        rows[0][5] = math.nan  # the density column
-        assert harness._cell_problem(config, task, payload)
+        payload["matrix"][0][2] = math.nan  # the density column
+        assert harness._cell_problem(task, payload)
 
     @pytest.mark.parametrize(
         "doctor",
         [
             _drop_cell,
-            _foreign_file,
             _short_row,
+            _drop_replicate,
             _marker_without_reason,
-            _reason_without_marker,
             _other_cell,
+            _other_ks,
             _boolean_value,
+            _integer_value,
+            _nan_value,
             _infinite_value,
+            _extra_key,
+            _written_by_row_cache,
         ],
     )
     def test_doctored_payload_is_refused(self, computed, doctor):
         config, tasks, payloads = computed
         payload = json.loads(json.dumps(payloads[0]))
         doctor(payload)
-        assert harness._cell_problem(config, tasks[0], payload)
+        assert harness._cell_problem(tasks[0], payload)
 
 
 class TestNormalitySweep:
@@ -426,7 +452,7 @@ class TestNormalitySweep:
             replications=5,
             inner_batch=30,
         )
-        rows = run_normality_sweep(config)
+        rows = run_experiment(config)["normality.csv"]
         assert len(rows) == 1
         q, m, k, n, mean_p, m_out, n_in, seed = rows[0]
         assert 0.0 <= mean_p <= 1.0
@@ -444,7 +470,8 @@ class TestConvergence:
             grids=(GridBlock(qs=(1.2, 1.5), ms=(2,), ks=(1,), ns=(50, 100, 200)),),
             replications=40,
         )
-        curves, regression = run_convergence(config)
+        files = run_experiment(config)
+        curves, regression = files["convergence.csv"], files["regression.csv"]
         assert len(curves) == 6
         assert len(regression) == 2
         feasible = regression[0]
@@ -460,7 +487,7 @@ class TestConvergence:
             grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(50, 400)),),
             replications=60,
         )
-        curves, _ = run_convergence(config)
+        curves = run_experiment(config)["convergence.csv"]
         assert curves[1][5] < curves[0][5]  # std_q at N=400 < at N=50
 
 
@@ -472,7 +499,7 @@ class TestConsistencyCurves:
             family="t2",
             replications=30,
         )
-        rows = run_consistency_curves(config)
+        rows = run_experiment(config)["consistency.csv"]
         assert len(rows) == 2
         h_true = rows[0][6]
         err_small = abs(rows[0][4] - h_true)
@@ -486,7 +513,7 @@ class TestConsistencyCurves:
             grids=(GridBlock(qs=(1.5,), ms=(2,), ks=(1,), ns=(100,)),),
             replications=10,
         )
-        rows = run_consistency_curves(config)
+        rows = run_experiment(config)["consistency.csv"]
         assert not isinstance(rows[0][4], str)
 
 
@@ -510,13 +537,13 @@ class TestDistributionShape:
         assert len(dens) > 2
 
     def test_histogram_mass_is_one(self):
-        files = run_distribution_shape(self.make_config())
+        files = run_experiment(self.make_config())
         rows = files["shape_sample_density.csv"]
         mass = sum((r[4] - r[3]) * r[5] for r in rows)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_qq_pairs_are_sorted(self):
-        files = run_distribution_shape(self.make_config())
+        files = run_experiment(self.make_config())
         rows = files["shape_stat_qq.csv"]
         standardized = [r[5] for r in rows]
         quantiles = [r[6] for r in rows]
@@ -531,7 +558,7 @@ class TestDistributionShape:
             grids=(GridBlock(qs=(1.1,), ms=(2,), ks=(1,), ns=(1000,)),),
             replications=100,
         )
-        rows = run_distribution_shape(config)["shape_stat_qq.csv"]
+        rows = run_experiment(config)["shape_stat_qq.csv"]
         standardized = np.array([r[5] for r in rows])
         quantiles = np.array([r[6] for r in rows])
         corr = float(np.corrcoef(standardized, quantiles)[0, 1])
@@ -546,7 +573,7 @@ class TestDistributionShape:
             replications=10,
             draws=200_000,
         )
-        rows = run_distribution_shape(config)["shape_sample_density.csv"]
+        rows = run_experiment(config)["shape_sample_density.csv"]
         centers = np.array([(r[3] + r[4]) / 2.0 for r in rows])
         widths = np.array([r[4] - r[3] for r in rows])
         density = np.array([r[5] for r in rows])
