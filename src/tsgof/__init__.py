@@ -47,7 +47,7 @@ from .distributions import (
     qgauss_tsallis_entropy,
     tsallis_entropy_uniform,
 )
-from .knn import knn_distances, knn_distances_bruteforce, knn_distances_tree
+from .knn import knn_distances, knn_distances_bruteforce
 from .entropy import (
     ConsistencyReport,
     EntropyEstimate,
@@ -62,7 +62,7 @@ from .statkit import (
     ols_slope_with_offset,
     shapiro_wilk,
 )
-from .gof import TestResult, gof_statistic, null_max_entropy, run_test, simulate_critical_value
+from .gof import TestResult, gof_statistic, null_max_entropy, run_test
 from .harness import (
     CriticalValueRow,
     CriticalValueTable,

@@ -128,7 +128,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_entropy(args) -> int:
     x = read_matrix_csv(getattr(args, "in"))
-    est = tsallis_knn_estimate(x, k=args.k, q=args.q, engine=args.engine)
+    est = tsallis_knn_estimate(x, k=args.k, q=args.q)
     print(
         json.dumps(
             {"i_hat": est.i_hat, "h_hat": est.h_hat, "N": est.n, "m": est.m, "q": est.q, "k": est.k}
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, help="input CSV (rows = observations)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--engine", choices=("tree", "brute"), default="tree")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("gof", help="goodness-of-fit test against a q-Gaussian null")

@@ -80,8 +80,9 @@ def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
     return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
 
 
-def tsallis_knn_estimate(x, k: int, q: float, engine: str = "tree") -> EntropyEstimate:
-    """Estimate integral(f^q) and the Tsallis entropy from a sample.
+def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:
+    """Estimate integral(f^q) and the Tsallis entropy from a sample, with
+    the kd-tree neighbor query of `knn_distances`.
 
     Duplicate points produce zero neighbor distances; for q > 1 those make
     the estimate infinite, so they raise DegenerateSampleError.
@@ -91,7 +92,7 @@ def tsallis_knn_estimate(x, k: int, q: float, engine: str = "tree") -> EntropyEs
     if not (n > k):
         raise DomainError(f"need N > k, got N={n}, k={k}")
     knn_bias_constant(k, q)  # validates k and q before the query
-    return lps_estimate(knn_distances(a, k, engine=engine)[:, -1], k, q, m)
+    return lps_estimate(knn_distances(a, k)[:, -1], k, q, m)
 
 
 def check_consistency_conditions(

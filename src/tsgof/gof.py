@@ -19,7 +19,7 @@ Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
 feasibility rule for both.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .distributions import (
     qgauss_tsallis_entropy,
     qgauss_sample,
 )
-from .entropy import lps_estimate, tsallis_knn_estimate
+from .entropy import knn_bias_constant, lps_estimate
 from .knn import knn_distances
 from .errors import ConfigError, DomainError, InfeasibleModelError
 from .linalg import SymPDMatrix, as_sample_matrix, sample_mean_cov
@@ -108,17 +108,42 @@ def null_max_entropy(sample_cov: SymPDMatrix, m: int, q: float, family: str) -> 
     return qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=shape))
 
 
-def gof_statistic(x, k: int, q: float, family: str, engine: str = "tree") -> TestResult:
-    """The raw test statistic, without a critical value."""
+def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> tuple:
+    """The ks as ints, once each is a positive integer the feasibility rule
+    accepts at (q, m, N), with the covariance bridge if statistic."""
+    for k in ks:
+        require_feasible(family, q, m, k, n, bridge=statistic)
+        knn_bias_constant(k, q)  # validates k before the query
+    return tuple(int(k) for k in ks)
+
+
+def _sample_statistics(a: np.ndarray, ks: tuple, q: float, family: str, statistic: bool) -> list:
+    """Q (with statistic) or h_hat of one sample matrix, at every k of ks.
+
+    The covariance and null entropy are formed once, before one neighbor
+    query at max(ks), whose column k-1 gives each k its estimate. The ks
+    must have passed _checked_ks.
+    """
+    m = a.shape[1]
+    if statistic:
+        upper = null_max_entropy(sample_mean_cov(a)[1], m, q, family)
+    rho = knn_distances(a, max(ks))
+    h_hat = [lps_estimate(rho[:, k - 1], k, q, m).h_hat for k in ks]
+    return [upper - h for h in h_hat] if statistic else h_hat
+
+
+def gof_statistic(x, k: int, q: float, family: str) -> TestResult:
+    """The raw test statistic, without a critical value.
+
+    The covariance comes before the neighbor query, so a rank-deficient
+    sample raises NotPositiveDefiniteError even when it also has the
+    duplicate points that raise DegenerateSampleError for q > 1.
+    """
     a = as_sample_matrix(x)
     n, m = a.shape
-    require_feasible(family, q, m, k, n)
-    _, cov = sample_mean_cov(a)
-    upper = null_max_entropy(cov, m, q, family)
-    estimate = tsallis_knn_estimate(a, k, q, engine=engine)
-    return TestResult(
-        statistic=upper - estimate.h_hat, family=family, q=q, k=int(k), n=n, m=m
-    )
+    ks = _checked_ks((k,), q, m, n, family, True)
+    (statistic,) = _sample_statistics(a, ks, q, family, True)
+    return TestResult(statistic=statistic, family=family, q=q, k=ks[0], n=n, m=m)
 
 
 def run_test(
@@ -130,18 +155,18 @@ def run_test(
     critical_table=None,
     simulate: int | None = None,
     rng: RngStream | None = None,
-    engine: str = "tree",
 ) -> TestResult:
     """Evaluate the statistic and decide against a critical value.
 
     The critical value comes from `critical_table` (anything with a
     .lookup(q, m, k, n, alpha) method, e.g. harness.CriticalValueTable) or,
-    on table miss or absence, from `simulate` fresh null replications at
-    the observed (N, m, q, k) using the upper (1-alpha) empirical quantile.
+    on table miss or absence, from `simulate` null replicates at the
+    observed (N, m, q, k), replicate j drawn from rng.child(j): the upper
+    (1-alpha) empirical quantile of their statistics.
     """
     if not (0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must lie in (0, 0.5], got {alpha!r}")
-    base = gof_statistic(x, k, q, family, engine=engine)
+    base = gof_statistic(x, k, q, family)
 
     crit = None
     if critical_table is not None:
@@ -156,71 +181,32 @@ def run_test(
             raise DomainError("simulation budget must be at least 2 replications")
         if rng is None:
             raise DomainError("on-the-fly simulation requires an RngStream")
-        crit = simulate_critical_value(base.n, base.m, k, q, family, alpha, simulate, rng, engine)
+        streams = (rng.child(j) for j in range(simulate))
+        stats = null_replicates(base.n, base.m, (base.k,), q, family, streams)[:, 0]
+        crit = empirical_quantile(stats, 1.0 - alpha)
 
-    return TestResult(
-        statistic=base.statistic,
-        family=family,
-        q=q,
-        k=base.k,
-        n=base.n,
-        m=base.m,
-        alpha=alpha,
-        critical_value=float(crit),
-        reject=bool(base.statistic > crit),
+    return replace(
+        base, alpha=alpha, critical_value=float(crit), reject=bool(base.statistic > crit)
     )
 
 
 def null_replicates(
-    n: int,
-    m: int,
-    ks,
-    q: float,
-    family: str,
-    streams,
-    engine: str = "tree",
-    statistic: bool = True,
+    n: int, m: int, ks, q: float, family: str, streams, statistic: bool = True
 ) -> np.ndarray:
     """One standard null draw of size n per RngStream in streams, evaluated
     at every k of ks: a (replicates, len(ks)) matrix.
 
-    Each draw gets one neighbor query at max(ks), and k reads column k-1 of
-    it, so all ks share draws (common random numbers across k) and each
-    column equals what a run with ks=(k,) gives, bit for bit. With
-    statistic, entries are Q, with the covariance and null entropy formed
-    once per draw; without it they are the estimates h_hat, and the
-    covariance bridge is not required.
+    Each draw goes through the same per-sample function as gof_statistic,
+    with one neighbor query at max(ks), so all ks share draws (common
+    random numbers across k) and each column equals what a run with
+    ks=(k,) gives, bit for bit. With statistic, entries are Q; without it
+    they are the estimates h_hat, and the covariance bridge is not
+    required.
     """
-    ks = tuple(ks)
-    for k in ks:
-        require_feasible(family, q, m, k, n, bridge=statistic)
+    ks = _checked_ks(ks, q, m, n, family, statistic)
     params = QGaussianParams(m=m, q=q)
-    k_max = max(ks)
-    out = []
-    for rng in streams:
-        draw = qgauss_sample(params, n, rng)
-        rho = knn_distances(draw, k_max, engine=engine)
-        h_hat = [lps_estimate(rho[:, k - 1], k, q, m).h_hat for k in ks]
-        if statistic:
-            upper = null_max_entropy(sample_mean_cov(draw)[1], m, q, family)
-            out.append([upper - h for h in h_hat])
-        else:
-            out.append(h_hat)
-    return np.array(out).reshape(-1, len(ks))
-
-
-def simulate_critical_value(
-    n: int,
-    m: int,
-    k: int,
-    q: float,
-    family: str,
-    alpha: float,
-    replications: int,
-    rng: RngStream,
-    engine: str = "tree",
-) -> float:
-    """Upper (1-alpha) empirical quantile of the null statistic distribution."""
-    streams = (rng.child(j) for j in range(replications))
-    stats = null_replicates(n, m, (k,), q, family, streams, engine)[:, 0]
-    return empirical_quantile(stats, 1.0 - alpha)
+    rows = [
+        _sample_statistics(qgauss_sample(params, n, rng), ks, q, family, statistic)
+        for rng in streams
+    ]
+    return np.array(rows).reshape(-1, len(ks))

@@ -110,7 +110,6 @@ class ExperimentConfig:
     inner_batch: int = 100  # inner n (normality sweep)
     draws: int = 200_000  # raw draws for shape sample densities
     out: str | None = None
-    engine: str = "tree"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -168,7 +167,6 @@ _TOP_KEYS = {
     "n": int,
     "draws": int,
     "out": str,
-    "engine": str,
 }
 _GRID_KEYS = {"q": float, "m": int, "k": int, "N": int}
 _FIELDS = {"M": "replications", "n": "inner_batch"}  # other keys name their field
@@ -417,8 +415,7 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
         index = partial(content_index, config.family, task.q, task.m, task.n)
         streams = (RngStream(config.master_seed, index(rep)) for rep in range(task.shape[0]))
         matrix = null_replicates(
-            task.n, task.m, task.ks, task.q, config.family, streams, config.engine,
-            _statistic(config),
+            task.n, task.m, task.ks, task.q, config.family, streams, _statistic(config)
         )
     else:
         rng = RngStream(config.master_seed, content_index(config.family, task.q, task.m, 0, 0))

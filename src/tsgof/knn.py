@@ -1,11 +1,12 @@
 """Exact k-th nearest-neighbor Euclidean distances for all points of a
 static dataset.
 
-Two engines are provided: an O(N^2) brute force used as the correctness
-oracle, and a kd-tree engine for production use. Both accumulate squared
-coordinate differences in fixed coordinate order before the final square
-root, so their outputs agree bit-for-bit; with ties broken by point index
-the k-th distance is the k-th element of the same total order either way.
+`knn_distances` is the one entry point the package uses: a kd-tree query.
+`knn_distances_bruteforce` is an O(N^2) all-pairs computation kept only as
+the correctness oracle for tests. Both accumulate squared coordinate
+differences in fixed coordinate order before the final square root, so
+their outputs agree bit-for-bit; with ties broken by point index the k-th
+distance is the k-th element of the same total order either way.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.spatial import cKDTree
 from .errors import DomainError
 from .linalg import as_sample_matrix
 
-# cap on the scratch distance block (floats) used by the brute-force engine
+# cap on the scratch distance block (floats) used by the brute force
 _BRUTE_BLOCK_FLOATS = 1 << 23
 
 
@@ -39,7 +40,7 @@ def knn_distances_bruteforce(x, k: int) -> np.ndarray:
     for start in range(0, n, block):
         stop = min(start + block, n)
         d2 = np.zeros((stop - start, n))
-        for j in range(m):  # fixed coordinate order for cross-engine bit equality
+        for j in range(m):  # fixed coordinate order for bit equality with the tree
             diff = a[start:stop, j][:, None] - a[None, :, j]
             d2 += diff * diff
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
@@ -48,20 +49,11 @@ def knn_distances_bruteforce(x, k: int) -> np.ndarray:
     return out
 
 
-def knn_distances_tree(x, k: int) -> np.ndarray:
-    """kd-tree engine; identical output to the brute force, bit-for-bit."""
+def knn_distances(x, k: int) -> np.ndarray:
+    """The N x k neighbor-distance matrix by kd-tree query; identical output
+    to the brute force, bit-for-bit."""
     a = as_sample_matrix(x)
     n, _ = a.shape
     k = _check_k(k, n)
-    tree = cKDTree(a)
-    dist, _ = tree.query(a, k=k + 1)
+    dist, _ = cKDTree(a).query(a, k=k + 1)
     return dist[:, 1:]
-
-
-def knn_distances(x, k: int, engine: str = "tree") -> np.ndarray:
-    """Dispatch on engine name: 'tree' (default) or 'brute'."""
-    if engine == "tree":
-        return knn_distances_tree(x, k)
-    if engine == "brute":
-        return knn_distances_bruteforce(x, k)
-    raise DomainError(f"unknown engine {engine!r} (expected 'tree' or 'brute')")

@@ -33,7 +33,7 @@ from tsgof.harness import (
     deterministic_map,
     run_experiment,
 )
-from tsgof.knn import knn_distances_bruteforce, knn_distances_tree
+from tsgof.knn import knn_distances, knn_distances_bruteforce
 from tsgof.linalg import SymPDMatrix, sample_mean_cov
 from tsgof.mathcore import RngStream
 
@@ -219,12 +219,12 @@ def test_criterion_05_knn_oracle_equivalence():
         k = int(gen.integers(1, min(6, n)))
         x = gen.standard_normal((n, m)) * float(gen.uniform(0.01, 50.0))
         assert np.array_equal(
-            knn_distances_bruteforce(x, k), knn_distances_tree(x, k)
+            knn_distances_bruteforce(x, k), knn_distances(x, k)
         ), f"trial {trial}: n={n} m={m} k={k}"
     lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1).reshape(-1, 2)
     for k in (1, 2, 3, 4):
         assert np.array_equal(
-            knn_distances_bruteforce(lattice, k), knn_distances_tree(lattice, k)
+            knn_distances_bruteforce(lattice, k), knn_distances(lattice, k)
         )
     report(
         "criterion 5 (knn oracle equivalence)",

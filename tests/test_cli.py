@@ -115,16 +115,6 @@ class TestEntropy:
         )
         assert result["N"] == 2 and result["m"] == 1
 
-    def test_engines_agree(self, capsys, tmp_path):
-        data = tmp_path / "x.csv"
-        gen = np.random.default_rng(4)
-        rows = gen.random((200, 2))
-        data.write_text("\n".join(",".join(map(repr, r)) for r in rows) + "\n")
-        _, out_tree, _ = run_cli(["entropy", "--in", str(data), "--k", "2", "--q", "0.5"], capsys)
-        _, out_brute, _ = run_cli(
-            ["entropy", "--in", str(data), "--k", "2", "--q", "0.5", "--engine", "brute"], capsys)
-        assert out_tree == out_brute
-
     def test_duplicates_exit_domain(self, capsys, tmp_path):
         data = tmp_path / "dup.csv"
         data.write_text("1.0\n1.0\n2.0\n")
@@ -246,6 +236,18 @@ class TestExperimentCommands:
             ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
         assert code == 2
         assert "what" in json.loads(err)["error"]
+
+    def test_engine_key_is_unknown_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("engine = tree\n" + TINY_CONFIG)
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(
+            ["critical-values", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["kind"] == "config"
+        assert "unknown key 'engine'" in error["error"]
+        assert not out_dir.exists()
 
     def test_kind_mismatch_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cv.cfg"

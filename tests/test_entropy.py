@@ -127,12 +127,6 @@ class TestEstimatorInvariances:
         moved = tsallis_knn_estimate(x @ rotation.T, k=1, q=0.5).i_hat
         assert moved == pytest.approx(base, rel=1e-9)
 
-    def test_engines_agree(self):
-        x = RngStream(58, 0).generator.random((400, 2))
-        tree = tsallis_knn_estimate(x, k=3, q=1.5, engine="tree")
-        brute = tsallis_knn_estimate(x, k=3, q=1.5, engine="brute")
-        assert tree == brute
-
 
 class TestDuplicatePolicy:
     def test_duplicates_error_for_heavy_q(self):

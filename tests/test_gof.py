@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tsgof.errors import ConfigError, DomainError, InfeasibleModelError
+from tsgof.errors import (
+    ConfigError,
+    DegenerateSampleError,
+    DomainError,
+    InfeasibleModelError,
+    NotPositiveDefiniteError,
+)
 from tsgof.distributions import QGaussianParams, qgauss_sample
 from tsgof.entropy import tsallis_knn_estimate
 from tsgof.gof import (
@@ -108,7 +114,36 @@ class TestNullMaxEntropy:
             null_max_entropy(SymPDMatrix.identity(2), 2, 2.5, "t1")
 
 
+def uniform_50(fault=None):
+    x = RngStream(80, 0).generator.random((50, 2))
+    if fault in ("duplicate", "both"):
+        x[1] = x[0]
+    if fault in ("rank-1", "both"):
+        x[:, 1] = 2.0 * x[:, 0]
+    return x
+
+
 class TestGofStatistic:
+    @pytest.mark.parametrize(
+        "fault,k,q,family,error,message",
+        [
+            ("duplicate", 1, 1.2, "t1", DegenerateSampleError, None),
+            ("rank-1", 1, 1.2, "t1", NotPositiveDefiniteError, None),
+            ("both", 1, 1.2, "t1", NotPositiveDefiniteError, None),
+            (None, 0, 0.5, "t2", DomainError, "k must be a positive integer, got 0"),
+            (None, 1.5, 1.2, "t1", DomainError, "k must be a positive integer, got 1.5"),
+        ],
+        ids=["duplicate", "rank-1", "both", "k=0", "k=1.5"],
+    )
+    def test_errors(self, fault, k, q, family, error, message):
+        # the covariance comes before the neighbor query, so a rank-deficient
+        # sample names the covariance even when it also has duplicates
+        with pytest.raises(error) as err:
+            gof_statistic(uniform_50(fault), k, q, family)
+        assert type(err.value) is error
+        if message is not None:
+            assert str(err.value) == message
+
     def test_null_mean_near_zero(self):
         stats = [
             gof_statistic(null_draws(2000, 81, rep), k=1, q=1.2, family="t1").statistic
@@ -171,18 +206,17 @@ class TestGofStatistic:
 
 class TestNullReplicates:
     @staticmethod
-    def replicates(ks, engine="tree", statistic=True, q=1.2, family="t1"):
+    def replicates(ks, statistic=True, q=1.2, family="t1"):
         streams = (RngStream(3, r) for r in range(12))
-        return null_replicates(80, 2, ks, q, family, streams, engine, statistic)
+        return null_replicates(80, 2, ks, q, family, streams, statistic)
 
-    @pytest.mark.parametrize("engine", ["tree", "brute"])
     @pytest.mark.parametrize("statistic", [True, False])
-    def test_columns_equal_single_k_runs(self, engine, statistic):
+    def test_columns_equal_single_k_runs(self, statistic):
         # common random numbers across k: one shared query serves every k
-        shared = self.replicates((1, 2, 3), engine, statistic)
+        shared = self.replicates((1, 2, 3), statistic)
         assert shared.shape == (12, 3)
         for j, k in enumerate((1, 2, 3)):
-            alone = self.replicates((k,), engine, statistic)
+            alone = self.replicates((k,), statistic)
             assert shared[:, j].tobytes() == alone[:, 0].tobytes()
 
     def test_entries_equal_per_draw_statistic_and_estimate(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsgof.errors import DomainError
-from tsgof.knn import knn_distances, knn_distances_bruteforce, knn_distances_tree
+from tsgof.knn import knn_distances, knn_distances_bruteforce
 from tsgof.mathcore import RngStream
 
 
@@ -51,25 +51,23 @@ class TestEngineEquivalence:
             m = int(gen.integers(1, 6))
             k = int(gen.integers(1, min(6, n)))
             x = gen.standard_normal((n, m)) * float(gen.uniform(0.01, 100.0))
-            assert np.array_equal(knn_distances_bruteforce(x, k), knn_distances_tree(x, k))
+            assert np.array_equal(knn_distances_bruteforce(x, k), knn_distances(x, k))
 
     def test_tie_heavy_lattice(self):
         for k in (1, 2, 3, 4, 8):
             assert np.array_equal(
-                knn_distances_bruteforce(lattice_5x5(), k), knn_distances_tree(lattice_5x5(), k)
+                knn_distances_bruteforce(lattice_5x5(), k), knn_distances(lattice_5x5(), k)
             )
 
     def test_two_points(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
         expected = [[5.0], [5.0]]
         assert np.array_equal(knn_distances_bruteforce(x, 1), expected)
-        assert np.array_equal(knn_distances_tree(x, 1), expected)
+        assert np.array_equal(knn_distances(x, 1), expected)
 
     def test_dispatch(self):
         x = RngStream(43, 0).generator.standard_normal((50, 2))
-        assert np.array_equal(knn_distances(x, 2), knn_distances(x, 2, engine="brute"))
-        with pytest.raises(DomainError):
-            knn_distances(x, 2, engine="approximate")
+        assert np.array_equal(knn_distances(x, 2), knn_distances_bruteforce(x, 2))
 
 
 class TestInvariances:
