@@ -3,17 +3,19 @@
 Subcommands: sample, entropy, gof, critical-values, normality-sweep,
 convergence, shape. Single-shot results are printed as JSON on stdout;
 experiment subcommands write CSV tables. Exit codes: 0 success, 1 domain
-or feasibility error, 2 I/O or configuration error. Error messages are
-single JSON objects on stderr. Output files are written atomically
-(temp-and-rename), so a non-zero exit never leaves a partial primary
-output behind. The default worker count for experiments comes from the
-TSGOF_WORKERS environment variable (else 1).
+or feasibility error, 2 I/O or configuration error; any other exception is
+an internal error and exits 1. Error messages are single JSON objects on
+stderr. Output files are written atomically (temp-and-rename), so a
+non-zero exit never leaves a partial primary output behind. The default
+worker count for experiments comes from the TSGOF_WORKERS environment
+variable (else 1).
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +33,8 @@ _EXIT_DOMAIN = 1
 _EXIT_CONFIG = 2
 
 
-def _fail(kind: str, message: str) -> None:
-    print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
+def _fail(kind: str, message: str, **extra) -> None:
+    print(json.dumps({"error": message, "kind": kind, **extra}), file=sys.stderr)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -276,6 +278,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _fail("io", str(exc))
         return _EXIT_CONFIG
+    except Exception as exc:  # a bug: still one JSON line, with the traceback inside it
+        _fail("internal", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
+        return _EXIT_DOMAIN
 
 
 if __name__ == "__main__":

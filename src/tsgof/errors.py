@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The command-line front end maps these onto exit codes: domain and
-feasibility problems exit with 1, configuration and I/O problems with 2.
+feasibility problems exit with 1, configuration and I/O problems with 2,
+and any other exception, an internal error, with 1.
 """
 
 

@@ -16,17 +16,20 @@ values, does change). Worker count and scheduling never change results.
 A task's result is a matrix: the (replicates x ks) output of
 gof.null_replicates for the point's feasible ks or, for a
 distribution-shape sample density, the (bins x 3) [bin_left, bin_right,
-density] histogram of one (q, m) member's raw draws. It is cached as soon
-as it arrives, as {"point": [q, m, N, ks], "matrix": rows} (N = 0 and
-ks = [] for a histogram), under `<out>/.cells/<key>/`, where the key
-hashes the config, the toolkit version and STREAM_LAYOUT, the version of
-the replicate-to-stream mapping. The experiment kind's reducer turns the
+density] histogram of one (q, m) member's raw draws. Tasks run largest
+first (replicates x N x m, or draws x m for a sample density; ties in plan
+order), and each result is cached as soon as it arrives, as
+{"point": [q, m, N, ks], "matrix": rows} (N = 0 and ks = [] for a
+histogram), under `<out>/.cells/<key>/`, where the key hashes the config,
+the toolkit version and STREAM_LAYOUT, the version of the
+replicate-to-stream mapping; cell files the plan does not name are
+deleted. The experiment kind's reducer turns the
 columns into rows, and infeasible cells into markers, only when the files
 are assembled, so a cell file names no kind and no file. A rerun reuses a
 cell file only if it holds exactly the task's tag and a matrix of the
 task's shape whose entries are finite floats; a missing, unreadable or
 refused file is recomputed (a refusal is logged), and the files are
-reassembled byte-identically.
+reassembled in plan order, byte-identically.
 
 Result files (CSV, UTF-8, comma-separated, '.' decimal, header mandatory)
 ----------------------------------------------------------------------
@@ -396,6 +399,12 @@ def _plan(config: ExperimentConfig) -> list[_Task]:
     return tasks
 
 
+def _cost(config: ExperimentConfig, task: _Task) -> int:
+    """A task's estimated work, from the plan alone: replicates x N x m, or
+    draws x m for a sample density."""
+    return (task.shape[0] * task.n if task.ks else config.draws) * task.m
+
+
 def _tag(task: _Task) -> list:
     return [task.q, task.m, task.n, list(task.ks)]
 
@@ -564,18 +573,25 @@ def _read_cell(task: _Task, cache_file: Path) -> dict | None:
 
 
 def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
-    """The plan's tasks and their matrices; with a cache_dir, valid cached
-    results are reused and each computed one is written as soon as it
-    arrives."""
+    """The plan's tasks and their matrices; with a cache_dir, cell files the
+    plan does not name are deleted, valid cached results are reused and
+    each computed one is written as soon as it arrives. Pending tasks run
+    largest first, so the longest one does not run alone at the end."""
     tasks = _plan(config)
     results: dict[int, dict] = {}
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
+        planned = {f"task-{task.index:06d}.json" for task in tasks}
+        for path in cache_dir.glob("task-*.json"):
+            if path.name not in planned:
+                path.unlink(missing_ok=True)
         for task in tasks:
             cached = _read_cell(task, cache_dir / f"task-{task.index:06d}.json")
             if cached is not None:
                 results[task.index] = cached
-    pending = [t for t in tasks if t.index not in results]
+    pending = sorted(
+        (t for t in tasks if t.index not in results), key=lambda t: (-_cost(config, t), t.index)
+    )
     computed = _ordered_map(partial(_compute_task, config), pending, workers)
     # computed leads the zip, so the pool closes right after the last result
     for result, task in zip(computed, pending):

@@ -1,15 +1,17 @@
 """Exact k-th nearest-neighbor Euclidean distances for all points of a
 static dataset.
 
-`knn_distances` is the one entry point the package uses: a kd-tree query.
+`knn_distances` is the one entry point the package uses: a sorted window
+for one-dimensional samples and a kd-tree query otherwise.
 `knn_distances_bruteforce` is an O(N^2) all-pairs computation kept only as
-the correctness oracle for tests. Both accumulate squared coordinate
+the correctness oracle for tests. All three accumulate squared coordinate
 differences in fixed coordinate order before the final square root, so
 their outputs agree bit-for-bit; with ties broken by point index the k-th
 distance is the k-th element of the same total order either way.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .errors import DomainError
@@ -50,10 +52,29 @@ def knn_distances_bruteforce(x, k: int) -> np.ndarray:
 
 
 def knn_distances(x, k: int) -> np.ndarray:
-    """The N x k neighbor-distance matrix by kd-tree query; identical output
-    to the brute force, bit-for-bit."""
+    """The N x k neighbor-distance matrix; identical output to the brute
+    force, bit-for-bit.
+
+    For m = 1 one sort gives each point's k nearest neighbors among the k
+    sorted points on each side of it (rounding is monotone, so no point
+    outside that window is nearer); the window is padded with -inf/+inf
+    and its centre, the point itself, is dropped as the first zero. Equal
+    values get equal rows in any sort order, so the sort need not be
+    stable. For m >= 2 a kd-tree query.
+    """
     a = as_sample_matrix(x)
-    n, _ = a.shape
+    n, m = a.shape
     k = _check_k(k, n)
-    dist, _ = cKDTree(a).query(a, k=k + 1)
-    return dist[:, 1:]
+    if m > 1:
+        dist, _ = cKDTree(a).query(a, k=k + 1)
+        return dist[:, 1:]
+    order = np.argsort(a[:, 0])
+    s = a[order, 0]
+    padded = np.concatenate((np.full(k, -np.inf), s, np.full(k, np.inf)))
+    out = np.empty((n, k))
+    with np.errstate(over="ignore"):  # gaps past 1e154 square to inf, silently as in the tree
+        d = sliding_window_view(padded, 2 * k + 1) - s[:, None]
+        d *= d
+        d.sort(axis=1)
+        out[order] = np.sqrt(d[:, 1 : k + 1])
+    return out

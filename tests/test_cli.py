@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from tsgof import harness
 from tsgof.cli import main, read_matrix_csv
 from tsgof.errors import ConfigError
 
@@ -228,6 +229,25 @@ class TestExperimentCommands:
             capsys)
         assert code == 0
         assert (out_dir / "critical_values.csv").read_bytes() == first
+
+    def test_unexpected_exception_exit_1_internal(self, capsys, tmp_path, monkeypatch):
+        def broken(config, task):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "_compute_task", broken)
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(
+            ["critical-values", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        message = json.loads(line)
+        assert message["kind"] == "internal"
+        assert message["error"] == "RuntimeError: boom"
+        assert message["traceback"].rstrip().endswith("RuntimeError: boom")
+        assert [p.name for p in out_dir.iterdir()] == [".cells"]  # no primary output
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

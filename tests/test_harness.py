@@ -253,9 +253,10 @@ class TestResumability:
         ],
     )
     def test_interrupted_run_keeps_finished_cells(self, tmp_path, monkeypatch, workers):
-        # one task per (q, m, N) point, so four N values give a task at index 3
+        # one task per (q, m, N) point, so four N values give a task at index
+        # 3; N falls along the plan, so task 3 is the cheapest, submitted last
         config = tiny_config(
-            grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(60, 80, 100, 120)),)
+            grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(120, 100, 80, 60)),)
         )
         run_experiment(config, out_dir=tmp_path / "clean", workers=1)
         monkeypatch.setattr(harness, "_compute_task", _interrupt_at_task_3)
@@ -266,6 +267,16 @@ class TestResumability:
         monkeypatch.undo()
         run_experiment(config, out_dir=tmp_path / "run", workers=workers)
         assert tree_bytes(tmp_path / "run") == tree_bytes(tmp_path / "clean")
+
+    def test_unplanned_cell_files_deleted(self, tmp_path):
+        config = tiny_config()
+        run_experiment(config, out_dir=tmp_path, workers=1)
+        finished = tree_bytes(tmp_path)
+        stale = tmp_path / ".cells" / config.config_hash() / "task-000099.json"
+        stale.write_text('{"point": [1.2, 2, 99, [1]], "matrix": [[0.5]]}', encoding="utf-8")
+        run_experiment(config, out_dir=tmp_path, workers=1)
+        assert not stale.exists()
+        assert tree_bytes(tmp_path) == finished
 
     def test_config_change_invalidates_cache_location(self, tmp_path):
         a = tiny_config()
@@ -295,6 +306,44 @@ class TestPlan:
         assert tasks[points.index((1.2, 2, 60))].ks == (1, 2, 3, 4)
         for task in tasks:
             assert task.shape == (config.replications, len(task.ks))
+
+    @pytest.mark.parametrize(
+        "kind, order",
+        [
+            # tasks 0-5 are (q, m, N) = (1.2, 1, 60), (1.2, 1, 120), (1.2, 2, 60),
+            # (1.2, 2, 120), (1.5, 1, 60), (1.5, 1, 120) at cost 100 x N x m, so
+            # tasks 1, 2 and 5 tie; (1.5, 2) is past the covariance bridge
+            ("critical-values", [3, 1, 2, 5, 0, 4]),
+            # tasks 6-9 are the sample densities of (1.2, 1), (1.2, 2),
+            # (1.5, 1) and (1.5, 2) at cost 5000 draws x m
+            ("distribution-shape", [3, 1, 2, 5, 7, 9, 0, 4, 6, 8]),
+        ],
+    )
+    def test_tasks_run_largest_first(self, tmp_path, monkeypatch, kind, order):
+        config = tiny_config(
+            kind=kind,
+            grids=(GridBlock(qs=(1.2, 1.5), ms=(1, 2), ks=(1,), ns=(60, 120)),),
+            draws=5000,
+        )
+        calls = []
+
+        def recording(config, task):
+            calls.append(task.index)
+            return _original_compute_task(config, task)
+
+        monkeypatch.setattr(harness, "_compute_task", recording)
+        run_experiment(config, out_dir=tmp_path / "largest-first", workers=1)
+        assert calls == order
+        costs = [harness._cost(config, task) for task in harness._plan(config)]
+        assert all(
+            costs[a] > costs[b] or (costs[a] == costs[b] and a < b)
+            for a, b in zip(order, order[1:])
+        )
+        calls.clear()
+        monkeypatch.setattr(harness, "_cost", lambda config, task: 0)
+        run_experiment(config, out_dir=tmp_path / "plan-order", workers=1)
+        assert calls == sorted(order)
+        assert tree_bytes(tmp_path / "largest-first") == tree_bytes(tmp_path / "plan-order")
 
 
 class TestContentKeyedStreams:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsgof import knn
 from tsgof.errors import DomainError
 from tsgof.knn import knn_distances, knn_distances_bruteforce
 from tsgof.mathcore import RngStream
@@ -100,3 +103,54 @@ class TestInvariances:
         a = knn_distances(x, 3)
         b = knn_distances(moved, 3)
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@st.composite
+def one_column_samples(draw):
+    """(N x 1 sample, k) with N from 2 and k from 1 to N - 1. Entries are any
+    finite floats, floats rounded to one decimal (tied distances), or taken
+    from a small pool (exact duplicates, +0.0 and -0.0)."""
+    n = draw(st.integers(2, 60))
+    element = (
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(-10.0, 10.0).map(lambda v: round(v, 1))
+        | st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+    )
+    x = np.array(draw(st.lists(element, min_size=n, max_size=n)))
+    return x[:, None], draw(st.integers(1, n - 1))
+
+
+class TestSortedWindow:
+    @settings(deadline=None)
+    @given(one_column_samples())
+    def test_matches_bruteforce(self, sample):
+        x, k = sample
+        with np.errstate(over="ignore"):  # gaps past 1e154 square to inf in both
+            expected = knn_distances_bruteforce(x, k)
+        assert np.array_equal(knn_distances(x, k), expected)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 1e-160, 3e-160, 3e-160, 7e-160, -2e-160],  # d * d subnormal
+            [0.0, 1e-170, 2e-170, 5e-165, -0.0, 1e-160],  # d * d underflows to 0
+            [0.0, 1e160, -1e160, 2.5e160, 1e150, 1e160],  # d * d overflows to inf
+            [-1.7e308, 1.7e308, 0.0, 1e308],  # d itself overflows to inf
+        ],
+    )
+    def test_extreme_gaps_match_bruteforce(self, values):
+        x = np.array(values)[:, None]
+        for k in range(1, len(values)):
+            with np.errstate(over="ignore"):
+                expected = knn_distances_bruteforce(x, k)
+            assert np.array_equal(knn_distances(x, k), expected)
+
+    def test_one_column_never_builds_a_tree(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("cKDTree built for m = 1")
+
+        monkeypatch.setattr(knn, "cKDTree", no_tree)
+        x = RngStream(48, 0).generator.standard_normal((500, 1))
+        assert np.array_equal(knn_distances(x, 3), knn_distances_bruteforce(x, 3))
+        with pytest.raises(AssertionError):
+            knn_distances(np.hstack((x, x)), 3)
