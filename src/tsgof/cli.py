@@ -6,14 +6,15 @@ experiment subcommands write CSV tables. Exit codes: 0 success, 1 domain
 or feasibility error, 2 I/O or configuration error; any other exception is
 an internal error and exits 1. Error messages are single JSON objects on
 stderr. Output files are written atomically (temp-and-rename), so a
-non-zero exit never leaves a partial primary output behind. The default
-worker count for experiments comes from the TSGOF_WORKERS environment
-variable (else 1).
+non-zero exit never leaves a partial primary output behind. Experiment
+subcommands take their output directory from --out and their worker count
+from --workers (default 1); a whole config is checked before any task
+runs, and each task writes its own cell file under <out>/.cells as it
+finishes, so an interrupted run resumes.
 """
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -179,16 +180,6 @@ def _cmd_gof(args) -> int:
     return _EXIT_OK
 
 
-def _default_workers() -> int:
-    env = os.environ.get("TSGOF_WORKERS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 _KIND_BY_COMMAND = {
     "critical-values": ("critical-values",),
     "normality-sweep": ("normality-sweep",),
@@ -205,10 +196,9 @@ def _cmd_experiment(args) -> int:
             f"config kind {config.kind!r} does not match subcommand {args.command!r} "
             f"(expected one of {allowed})"
         )
-    out_dir = args.out or config.out
-    if out_dir is None:
-        raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    paths = run_experiment(config, out_dir=out_dir, workers=args.workers)
+    if args.out is None:
+        raise ConfigError("no output directory: pass --out")
+    paths = run_experiment(config, out_dir=args.out, workers=args.workers)
     print(json.dumps({"written": sorted(str(p) for p in paths.values())}))
     return _EXIT_OK
 
@@ -257,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--workers", type=int, default=_default_workers())
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -293,13 +293,12 @@ def qgauss_covariance_factor(m: int, q: float) -> float:
     """
     if int(m) != m or m < 1:
         raise DomainError(f"dimension must be a positive integer, got {m!r}")
-    denom = 2.0 + (1.0 - q) * (m + 2.0)
-    if q > 1 and not denom > 0:
+    if q > 1 and not q < 1.0 + 2.0 / (m + 2.0):
         raise InfeasibleModelError(
             f"q-Gaussian covariance does not exist for q={q}, m={m}: "
             f"requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)}"
         )
-    return 2.0 / denom
+    return 2.0 / (2.0 + (1.0 - q) * (m + 2.0))
 
 
 def qgauss_covariance(params: QGaussianParams) -> SymPDMatrix:

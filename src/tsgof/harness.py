@@ -18,18 +18,20 @@ gof.null_replicates for the point's feasible ks or, for a
 distribution-shape sample density, the (bins x 3) [bin_left, bin_right,
 density] histogram of one (q, m) member's raw draws. Tasks run largest
 first (replicates x N x m, or draws x m for a sample density; ties in plan
-order), and each result is cached as soon as it arrives, as
+order). The cell file is the one channel from a task to the reducers:
+the process that ran a task writes its matrix when the task finishes, as
 {"point": [q, m, N, ks], "matrix": rows} (N = 0 and ks = [] for a
 histogram), under `<out>/.cells/<key>/`, where the key hashes the config,
 the toolkit version and STREAM_LAYOUT, the version of the
 replicate-to-stream mapping; cell files the plan does not name are
-deleted. The experiment kind's reducer turns the
-columns into rows, and infeasible cells into markers, only when the files
-are assembled, so a cell file names no kind and no file. A rerun reuses a
-cell file only if it holds exactly the task's tag and a matrix of the
-task's shape whose entries are finite floats; a missing, unreadable or
-refused file is recomputed (a refusal is logged), and the files are
-reassembled in plan order, byte-identically.
+deleted. Every matrix, reused or just computed, is read back through the
+same check: it holds exactly the task's tag and a matrix of the task's
+shape whose entries are finite floats. A missing, unreadable or refused
+cached file is recomputed (a refusal is logged); a refused computed one
+stops the run. The experiment kind's reducer turns the columns into
+rows, and infeasible cells into markers, only when the files are
+assembled in plan order, so a cell file names no kind and no file, and
+an interrupted run resumes byte-identically.
 
 Result files (CSV, UTF-8, comma-separated, '.' decimal, header mandatory)
 ----------------------------------------------------------------------
@@ -68,8 +70,8 @@ from . import __version__
 from .errors import ConfigError, DomainError
 from .distributions import QGaussianParams, qgauss_sample, qgauss_tsallis_entropy
 from .gof import FAMILIES, infeasibility_reason, null_replicates
-from .mathcore import RngStream, content_index
-from .statkit import empirical_quantile, ols_slope_with_offset, shapiro_wilk
+from .mathcore import MASK64, RngStream, content_index
+from .statkit import SHAPIRO_WILK_MAX_N, empirical_quantile, ols_slope_with_offset, shapiro_wilk
 
 logger = logging.getLogger(__name__)
 
@@ -112,7 +114,6 @@ class ExperimentConfig:
     replications: int = 200  # outer M
     inner_batch: int = 100  # inner n (normality sweep)
     draws: int = 200_000  # raw draws for shape sample densities
-    out: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -123,7 +124,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {self.family!r} (expected 't1' or 't2')")
         if not self.grids:
             raise ConfigError("at least one [grid] block is required")
+        if not 0 <= self.master_seed <= MASK64:
+            raise ConfigError(f"master_seed must lie in [0, 2**64 - 1], got {self.master_seed}")
         for block in self.grids:
+            if not all(math.isfinite(q) for q in block.qs):
+                raise ConfigError(f"grid key 'q' must be finite, got {block.qs}")
             for key, values in (("m", block.ms), ("k", block.ks)):
                 if any(v < 1 for v in values):
                     raise ConfigError(f"grid key {key!r} must be at least 1, got {min(values)}")
@@ -131,8 +136,11 @@ class ExperimentConfig:
             raise ConfigError("critical-value tables require M >= 100 replications")
         if self.replications < 2:
             raise ConfigError("M must be at least 2")
-        if self.kind == "normality-sweep" and self.inner_batch < 3:
-            raise ConfigError("normality sweep needs inner batch n >= 3")
+        if self.kind == "normality-sweep" and not 3 <= self.inner_batch <= SHAPIRO_WILK_MAX_N:
+            raise ConfigError(
+                f"normality sweep needs inner batch 3 <= n <= {SHAPIRO_WILK_MAX_N} (Shapiro-Wilk), "
+                f"got n={self.inner_batch}"
+            )
         if not (0.0 < self.alpha <= 0.5):
             raise ConfigError(f"alpha must lie in (0, 0.5], got {self.alpha}")
         if self.draws < 2:
@@ -150,9 +158,7 @@ class ExperimentConfig:
         return out
 
     def canonical(self) -> str:
-        payload = asdict(self)
-        payload.pop("out", None)  # output location does not affect results
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def config_hash(self) -> str:
         """Key of the cell cache: the config, the toolkit version and the
@@ -169,7 +175,6 @@ _TOP_KEYS = {
     "M": int,
     "n": int,
     "draws": int,
-    "out": str,
 }
 _GRID_KEYS = {"q": float, "m": int, "k": int, "N": int}
 _FIELDS = {"M": "replications", "n": "inner_batch"}  # other keys name their field
@@ -418,8 +423,13 @@ def _histogram(values: np.ndarray) -> np.ndarray:
     return np.column_stack((edges[:-1], edges[1:], density))
 
 
-def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
-    """The task's matrix, with its tag, as a JSON-ready payload."""
+def _cell_path(cache_dir: Path, task: _Task) -> Path:
+    return cache_dir / f"task-{task.index:06d}.json"
+
+
+def _compute_task(config: ExperimentConfig, cache_dir: Path, task: _Task) -> None:
+    """Compute the task's matrix and write it, with its tag, as the task's
+    cell file."""
     if task.ks:
         index = partial(content_index, config.family, task.q, task.m, task.n)
         streams = (RngStream(config.master_seed, index(rep)) for rep in range(task.shape[0]))
@@ -430,7 +440,8 @@ def _compute_task(config: ExperimentConfig, task: _Task) -> dict:
         rng = RngStream(config.master_seed, content_index(config.family, task.q, task.m, 0, 0))
         draws = qgauss_sample(QGaussianParams(m=task.m, q=task.q), config.draws, rng)
         matrix = _histogram(draws[:, 0])
-    return {"point": _tag(task), "matrix": matrix.tolist()}
+    payload = {"point": _tag(task), "matrix": matrix.tolist()}
+    _write_atomic(_cell_path(cache_dir, task), json.dumps(payload))
 
 
 def _row(config: ExperimentConfig, name: str, point, **values) -> list:
@@ -516,19 +527,13 @@ def _regression_rows(config: ExperimentConfig, columns: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_map(fn, items, workers: int):
-    """Yield fn(item) in item order, optionally computed across processes."""
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
-
-
 def deterministic_map(fn, items, workers: int = 1) -> list:
     """Order-preserving map, optionally across processes; results do not
     depend on the worker count."""
-    return list(_ordered_map(fn, items, workers))
+    if workers <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _cell_problem(task: _Task, payload) -> str | None:
@@ -555,50 +560,48 @@ def _cell_problem(task: _Task, payload) -> str | None:
     return None
 
 
-def _read_cell(task: _Task, cache_file: Path) -> dict | None:
-    """A cached task result, or None when the file is missing, unreadable
-    or holds an invalid payload."""
+def _read_cell(task: _Task, path: Path, computed: bool = False) -> dict | None:
+    """The payload of a task's cell file. A cached file that is missing,
+    unreadable or refused by _cell_problem gives None (a refusal is
+    logged); a computed one that fails the same check raises."""
     try:
-        payload = json.loads(cache_file.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
+        if computed:
+            raise
         return None
     except ValueError as exc:  # not JSON, or not UTF-8
-        logger.warning("recomputing unreadable cell file %s: %s", cache_file, exc)
-        return None
-    problem = _cell_problem(task, payload)
-    if problem:
-        logger.warning("recomputing invalid cell file %s: %s", cache_file, problem)
-        return None
-    return payload
+        problem = f"unreadable cell file {path}: {exc}"
+    else:
+        problem = _cell_problem(task, payload)
+        if problem is None:
+            return payload
+        problem = f"invalid cell file {path}: {problem}"
+    if computed:
+        raise RuntimeError(f"computed {problem}")
+    logger.warning("recomputing %s", problem)
+    return None
 
 
-def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path | None):
-    """The plan's tasks and their matrices; with a cache_dir, cell files the
-    plan does not name are deleted, valid cached results are reused and
-    each computed one is written as soon as it arrives. Pending tasks run
-    largest first, so the longest one does not run alone at the end."""
+def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path):
+    """The plan's tasks and their matrices, each read from its cell file.
+    Cell files the plan does not name are deleted and valid ones reused;
+    the pending tasks run largest first, so the longest one does not run
+    alone at the end, and each writes its cell file when it finishes."""
     tasks = _plan(config)
-    results: dict[int, dict] = {}
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        planned = {f"task-{task.index:06d}.json" for task in tasks}
-        for path in cache_dir.glob("task-*.json"):
-            if path.name not in planned:
-                path.unlink(missing_ok=True)
-        for task in tasks:
-            cached = _read_cell(task, cache_dir / f"task-{task.index:06d}.json")
-            if cached is not None:
-                results[task.index] = cached
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    planned = {_cell_path(cache_dir, task) for task in tasks}
+    for path in cache_dir.glob("task-*.json"):
+        if path not in planned:
+            path.unlink(missing_ok=True)
+    payloads = {task.index: _read_cell(task, _cell_path(cache_dir, task)) for task in tasks}
     pending = sorted(
-        (t for t in tasks if t.index not in results), key=lambda t: (-_cost(config, t), t.index)
+        (t for t in tasks if payloads[t.index] is None), key=lambda t: (-_cost(config, t), t.index)
     )
-    computed = _ordered_map(partial(_compute_task, config), pending, workers)
-    # computed leads the zip, so the pool closes right after the last result
-    for result, task in zip(computed, pending):
-        results[task.index] = result
-        if cache_dir is not None:
-            _write_atomic(cache_dir / f"task-{task.index:06d}.json", json.dumps(result))
-    return tasks, [np.array(results[t.index]["matrix"], dtype=float) for t in tasks]
+    deterministic_map(partial(_compute_task, config, cache_dir), pending, workers)
+    for task in pending:
+        payloads[task.index] = _read_cell(task, _cell_path(cache_dir, task), computed=True)
+    return tasks, [np.array(payloads[t.index]["matrix"], dtype=float) for t in tasks]
 
 
 def _fmt(value) -> str:
@@ -631,17 +634,10 @@ def _write_csv(path: Path, name: str, rows):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
-    """Run the configured experiment, write its files, return {name: path}.
-
-    With out_dir=None an in-memory run is performed (no caching, no files)
-    and the assembled rows are returned as {name: rows} instead.
-    """
-    cache_dir = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        cache_dir = out_dir / ".cells" / config.config_hash()
-    tasks, matrices = _run_tasks(config, workers, cache_dir)
+def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
+    """Run the configured experiment, write its files, return {name: path}."""
+    out_dir = Path(out_dir)
+    tasks, matrices = _run_tasks(config, workers, out_dir / ".cells" / config.config_hash())
     columns = {
         (t.q, t.m, k, t.n): matrix[:, j]
         for t, matrix in zip(tasks, matrices)
@@ -672,9 +668,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
                 config, name, point, bin_left=left, bin_right=right, density=dens,
                 log_density=log_density,
             ))
-
-    if out_dir is None:
-        return files
 
     paths = {}
     for name in _HEADERS:

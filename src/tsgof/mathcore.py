@@ -16,14 +16,14 @@ from scipy.special import gammaln
 
 from .errors import DomainError
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(z: int) -> int:
     """One round of the splitmix64 mixing function (public-domain constants)."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (z + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
 
 
@@ -55,7 +55,7 @@ class RngStream:
     __slots__ = ("master_seed", "stream_index", "generator")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        if not (0 <= master_seed <= _MASK64 and 0 <= stream_index <= _MASK64):
+        if not (0 <= master_seed <= MASK64 and 0 <= stream_index <= MASK64):
             raise DomainError("master_seed and stream_index must be unsigned 64-bit integers")
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)

@@ -25,6 +25,8 @@ _C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)  # mean, n >= 12 (in ln n)
 _C6 = (-0.4803, -0.082676, 0.0030302)  # ln sd, n >= 12 (in ln n)
 _G = (-2.273, 0.459)  # gamma(n) for the n <= 11 transform
 
+SHAPIRO_WILK_MAX_N = 5000  # the largest n the approximation covers
+
 
 def _poly(coeffs, u):
     acc = 0.0
@@ -44,8 +46,8 @@ def shapiro_wilk(sample) -> ShapiroResult:
     """W statistic and p-value for the composite normality hypothesis."""
     x = np.sort(np.asarray(sample, dtype=float).reshape(-1))
     n = x.shape[0]
-    if not (3 <= n <= 5000):
-        raise DomainError(f"Shapiro-Wilk supports 3 <= n <= 5000, got n={n}")
+    if not (3 <= n <= SHAPIRO_WILK_MAX_N):
+        raise DomainError(f"Shapiro-Wilk supports 3 <= n <= {SHAPIRO_WILK_MAX_N}, got n={n}")
     if not np.all(np.isfinite(x)):
         raise DomainError("sample values must be finite")
     if x[-1] - x[0] <= 0.0:

@@ -383,7 +383,7 @@ def test_criterion_08_convergence_rate_slopes(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _normality_rows(qs, ks):
+def _normality_rows(out_dir, qs, ks):
     config = ExperimentConfig(
         kind="normality-sweep",
         grids=(GridBlock(qs=qs, ms=(2,), ks=ks, ns=(1000,)),),
@@ -392,11 +392,15 @@ def _normality_rows(qs, ks):
         replications=100,
         inner_batch=100,
     )
-    files = run_experiment(config, out_dir=None, workers=WORKERS)
-    return {(row[0], row[2]): row[4] for row in files["normality.csv"]}
+    run_experiment(config, out_dir=out_dir, workers=WORKERS)
+    rows = {}
+    for line in (out_dir / "normality.csv").read_text().strip().splitlines()[1:]:
+        q, _, k, _, mean_p, *_ = line.split(",")
+        rows[float(q), int(k)] = mean_p if mean_p == "infeasible" else float(mean_p)
+    return rows
 
 
-def test_criterion_09a_normality_trend_q_direction():
+def test_criterion_09a_normality_trend_q_direction(tmp_path):
     """Stated comparison: mean Shapiro-Wilk p at q=1.1 exceeds that at q=2.0
     for (m=2, k=1, N=1000).
 
@@ -406,7 +410,7 @@ def test_criterion_09a_normality_trend_q_direction():
     explicit infeasible marker. The comparison is therefore implemented
     exactly as stated and fails honestly.
     """
-    rows = _normality_rows(qs=(1.1, 2.0), ks=(1,))
+    rows = _normality_rows(tmp_path, qs=(1.1, 2.0), ks=(1,))
     p_low, p_high = rows[(1.1, 1)], rows[(2.0, 1)]
     feasible = not isinstance(p_high, str)
     report(
@@ -422,7 +426,7 @@ def test_criterion_09a_normality_trend_q_direction():
     assert p_low > p_high
 
 
-def test_criterion_09b_normality_trend_k_direction():
+def test_criterion_09b_normality_trend_k_direction(tmp_path):
     """k=1 mean p >= k=3 mean p at q=1.2, m=2, N=1000.
 
     The direction is real but small: at M=400 outer replications the means
@@ -430,7 +434,7 @@ def test_criterion_09b_normality_trend_k_direction():
     noise on each mean is ~0.03, comparable to the gap, so the frozen seed
     matters; the truth supports the assertion.
     """
-    rows = _normality_rows(qs=(1.2,), ks=(1, 3))
+    rows = _normality_rows(tmp_path, qs=(1.2,), ks=(1, 3))
     p_k1, p_k3 = rows[(1.2, 1)], rows[(1.2, 3)]
     ok = p_k1 >= p_k3
     report(

@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsgof import harness
-from tsgof.cli import main, read_matrix_csv
+from tsgof.cli import build_parser, main, read_matrix_csv
 from tsgof.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_CONFIG = """
 kind = critical-values
@@ -26,6 +32,28 @@ N = 60
 
 def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def results(root):
+    """tree_bytes without the cell cache."""
+    return {path: data for path, data in tree_bytes(root).items() if path.parts[0] != ".cells"}
+
+
+def kill_group(proc):
+    """SIGKILL the process group that proc leads and wait until none of it is left."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # proc was reaped and its workers are gone
+        pass
+    proc.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, "pool workers outlived SIGKILL"
+        time.sleep(0.01)
 
 
 def run_cli(args, capsys):
@@ -231,7 +259,7 @@ class TestExperimentCommands:
         assert (out_dir / "critical_values.csv").read_bytes() == first
 
     def test_unexpected_exception_exit_1_internal(self, capsys, tmp_path, monkeypatch):
-        def broken(config, task):
+        def broken(config, cache_dir, task):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(harness, "_compute_task", broken)
@@ -248,6 +276,94 @@ class TestExperimentCommands:
         assert message["error"] == "RuntimeError: boom"
         assert message["traceback"].rstrip().endswith("RuntimeError: boom")
         assert [p.name for p in out_dir.iterdir()] == [".cells"]  # no primary output
+
+    def test_non_finite_computed_value_exit_1_internal(self, capsys, tmp_path, monkeypatch):
+        # a computed matrix reaches the reducers only through the cell check
+        def non_finite(n, m, ks, q, family, streams, statistic):
+            return np.full((100, len(ks)), np.nan)
+
+        monkeypatch.setattr(harness, "null_replicates", non_finite)
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(
+            ["critical-values", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        message = json.loads(line)
+        assert message["kind"] == "internal"
+        assert "computed invalid cell file" in message["error"] and "nan" in message["error"]
+        assert [p.name for p in out_dir.iterdir()] == [".cells"]  # no table, no manifest
+
+    @pytest.mark.parametrize(
+        "command, edits, expected",
+        [
+            # past the Shapiro-Wilk range: refused before any replicate runs
+            ("normality-sweep",
+             [("critical-values", "normality-sweep"), ("M = 100", "M = 2\nn = 5001")],
+             "3 <= n <= 5000"),
+            ("critical-values", [("master_seed = 99", "master_seed = -1")], "master_seed"),
+            ("critical-values", [("master_seed = 99", "master_seed = 18446744073709551616")],
+             "master_seed"),
+            ("critical-values", [("q = 1.2", "q = 1.2 nan")], "'q' must be finite"),
+            ("critical-values", [("q = 1.2", "q = inf")], "'q' must be finite"),
+            # the output directory comes from --out alone
+            ("critical-values", [("alpha", "out = o\nalpha")], "unknown key 'out'"),
+        ],
+    )
+    def test_config_checked_before_compute_exit_2(self, capsys, tmp_path, command, edits, expected):
+        text = TINY_CONFIG.replace("N = 60", "N = 5")
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli([command, "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["kind"] == "config" and expected in error["error"]
+        assert not out_dir.exists()
+
+    def test_workers_default_is_one_whatever_the_environment(self, monkeypatch):
+        monkeypatch.setenv("TSGOF_WORKERS", "2")
+        args = build_parser().parse_args(["critical-values", "--config", "x.cfg"])
+        assert args.workers == 1
+
+    def test_killed_run_resumes(self, capsys, tmp_path):
+        # one N = 8000 task runs for seconds on one worker while the three
+        # small ones finish on the other; a SIGKILL then must leave their cells
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG.replace("N = 60", "N = 8000 60 80 100"))
+        run = tmp_path / "run"
+        cells = run / ".cells" / harness.load_config(cfg).config_hash()
+        large, *small = (cells / f"task-{i:06d}.json" for i in range(4))
+        args = ["critical-values", "--config", str(cfg), "--workers", "2", "--out"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tsgof.cli", *args, str(run)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while proc.poll() is None and time.monotonic() < deadline:
+                if all(path.exists() for path in small):
+                    break
+                time.sleep(0.01)
+            large_written = large.exists()
+        finally:
+            kill_group(proc)
+        assert all(path.exists() for path in small)
+        assert not large_written, "the small cells appeared only once the large task ended"
+        written = {path: path.stat().st_mtime_ns for path in small}
+        assert run_cli(args + [str(run)], capsys)[0] == 0
+        assert {path: path.stat().st_mtime_ns for path in small} == written  # reused
+        clean = ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "clean")]
+        assert run_cli(clean, capsys)[0] == 0
+        assert results(run) == results(tmp_path / "clean")
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -25,6 +25,7 @@ from tsgof.distributions import (
     qgauss_tsallis_entropy,
     tsallis_entropy_uniform,
 )
+from tsgof.gof import infeasibility_reason
 from tsgof.linalg import SymPDMatrix, sample_mean_cov
 from tsgof.mathcore import RngStream
 
@@ -289,6 +290,18 @@ class TestQGaussCovariance:
         with pytest.raises(InfeasibleModelError) as err:
             qgauss_covariance_factor(2, 1.6)
         assert "1 + 2/(m+2)" in str(err.value)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_guard_is_the_feasibility_rule_at_its_boundary(self, m):
+        # at q = 1 + 2/(m+2) as a float, 2 + (1 - q)(m + 2) rounds to a tiny
+        # positive number for m in {1, 3, 4, 5, 8}; the guard must still raise
+        boundary = 1.0 + 2.0 / (m + 2.0)
+        assert infeasibility_reason("t1", boundary, m) is not None
+        with pytest.raises(InfeasibleModelError):
+            qgauss_covariance_factor(m, boundary)
+        below = math.nextafter(boundary, 1.0)
+        assert infeasibility_reason("t1", below, m) is None
+        assert qgauss_covariance_factor(m, below) == 2.0 / (2.0 + (1.0 - below) * (m + 2.0))
 
     def test_compact_branch_monte_carlo(self):
         params = QGaussianParams(m=1, q=0.5)

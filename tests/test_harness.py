@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +42,55 @@ class Interrupted(Exception):
 _original_compute_task = harness._compute_task
 
 
-def _interrupt_at_task_3(config, task):
+def _interrupt_at_task_3(config, cache_dir, task):
     # module level, so a pool can pickle it
     if task.index == 3:
         raise Interrupted
-    return _original_compute_task(config, task)
+    _original_compute_task(config, cache_dir, task)
+
+
+def _wait_for_smaller_cells(config, cache_dir, task):
+    # module level, so a pool can pickle it: task 0, the largest, is
+    # submitted first and finishes only once tasks 1-3 have their cell files
+    if task.index == 0:
+        others = [harness._cell_path(cache_dir, t) for t in harness._plan(config)[1:]]
+        deadline = time.monotonic() + 5.0
+        while not all(path.exists() for path in others):
+            if time.monotonic() > deadline:
+                raise Interrupted("no smaller task's cell file appeared while task 0 ran")
+            time.sleep(0.01)
+    _original_compute_task(config, cache_dir, task)
+
+
+_fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched task function reaches pool workers only through fork",
+)
 
 
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _value(token: str):
+    for cast in (int, float):
+        try:
+            return cast(token)
+        except ValueError:
+            pass
+    return token
+
+
+def csv_rows(path: Path) -> list:
+    """A result file's rows below its header, numbers parsed."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [[_value(token) for token in line.split(",")] for line in lines]
+
+
+def run_files(config, out_dir: Path, workers: int = 1) -> dict:
+    """Run config into out_dir and read back each CSV it wrote, as {name: rows}."""
+    paths = run_experiment(config, out_dir=out_dir, workers=workers)
+    return {name: csv_rows(path) for name, path in paths.items() if name.endswith(".csv")}
 
 
 def tiny_config(**overrides):
@@ -179,15 +220,16 @@ class TestCriticalValues:
             tmp_path / "b/critical_values.csv"
         ).read_bytes()
 
-    def test_in_memory_table(self):
-        rows = run_experiment(tiny_config(), workers=1)["critical_values.csv"]
+    def test_in_memory_table(self, tmp_path):
+        # a table built from rows in memory, not through from_csv
+        rows = run_files(tiny_config(), tmp_path)["critical_values.csv"]
         table = CriticalValueTable([CriticalValueRow(*row) for row in rows])
         assert len(table.rows) == 2
         value = table.lookup(q=1.2, m=2, k=1, n=60, alpha=0.05)
         assert value is not None and math.isfinite(value)
         assert table.lookup(q=1.3, m=2, k=1, n=60, alpha=0.05) is None
 
-    def test_doubling_replications_moves_quantile_within_bootstrap_error(self):
+    def test_doubling_replications_moves_quantile_within_bootstrap_error(self, tmp_path):
         # doubling M from 500 to 1000 changes the critical value by less
         # than twice the bootstrap standard error of the M=500 quantile
         def crit_for(m_out):
@@ -195,7 +237,8 @@ class TestCriticalValues:
                 grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(150,)),),
                 replications=m_out,
             )
-            (row,) = run_experiment(config, workers=2)["critical_values.csv"]
+            files = run_files(config, tmp_path / f"M{m_out}", workers=2)
+            (row,) = files["critical_values.csv"]
             return row[5]
 
         from tsgof.gof import gof_statistic
@@ -242,16 +285,7 @@ class TestResumability:
         run_experiment(config, out_dir=tmp_path, workers=1)
         assert (tmp_path / "critical_values.csv").read_bytes() == first
 
-    @pytest.mark.parametrize(
-        "workers",
-        [
-            1,
-            pytest.param(2, marks=pytest.mark.skipif(
-                multiprocessing.get_start_method() != "fork",
-                reason="the patched task function reaches pool workers only through fork",
-            )),
-        ],
-    )
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_fork_only)])
     def test_interrupted_run_keeps_finished_cells(self, tmp_path, monkeypatch, workers):
         # one task per (q, m, N) point, so four N values give a task at index
         # 3; N falls along the plan, so task 3 is the cheapest, submitted last
@@ -266,6 +300,19 @@ class TestResumability:
         assert sorted(p.name for p in cells.iterdir()) == [f"task-{i:06d}.json" for i in range(3)]
         monkeypatch.undo()
         run_experiment(config, out_dir=tmp_path / "run", workers=workers)
+        assert tree_bytes(tmp_path / "run") == tree_bytes(tmp_path / "clean")
+
+    @_fork_only
+    def test_cell_written_while_larger_task_runs(self, tmp_path, monkeypatch):
+        # N falls along the plan, so task 0 is the largest and runs first; at
+        # two workers tasks 1-3 finish while it runs, and their cells must
+        # be on disk before it ends
+        config = tiny_config(
+            grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 2), ns=(120, 100, 80, 60)),)
+        )
+        run_experiment(config, out_dir=tmp_path / "clean", workers=1)
+        monkeypatch.setattr(harness, "_compute_task", _wait_for_smaller_cells)
+        run_experiment(config, out_dir=tmp_path / "run", workers=2)
         assert tree_bytes(tmp_path / "run") == tree_bytes(tmp_path / "clean")
 
     def test_unplanned_cell_files_deleted(self, tmp_path):
@@ -327,9 +374,9 @@ class TestPlan:
         )
         calls = []
 
-        def recording(config, task):
+        def recording(config, cache_dir, task):
             calls.append(task.index)
-            return _original_compute_task(config, task)
+            _original_compute_task(config, cache_dir, task)
 
         monkeypatch.setattr(harness, "_compute_task", recording)
         run_experiment(config, out_dir=tmp_path / "largest-first", workers=1)
@@ -439,10 +486,13 @@ def _written_by_row_cache(payload):
 
 class TestCellValidation:
     @pytest.fixture(scope="class")
-    def computed(self):
+    def computed(self, tmp_path_factory):
         config = tiny_config(grids=(GridBlock(qs=(1.2, 1.5), ms=(2,), ks=(1, 2), ns=(60,)),))
         tasks = harness._plan(config)
-        return config, tasks, [harness._compute_task(config, task) for task in tasks]
+        cells = tmp_path_factory.mktemp("cells")
+        for task in tasks:
+            harness._compute_task(config, cells, task)
+        return config, tasks, [json.loads(harness._cell_path(cells, t).read_text()) for t in tasks]
 
     def test_computed_payloads_are_valid(self, computed):
         config, tasks, payloads = computed
@@ -450,9 +500,9 @@ class TestCellValidation:
         assert [(t.q, t.m, t.n, t.ks) for t in tasks] == [(1.2, 2, 60, (1, 2))]
         for task, payload in zip(tasks, payloads):
             assert payload["point"] == [1.2, 2, 60, [1, 2]]
-            assert harness._cell_problem(task, json.loads(json.dumps(payload))) is None
+            assert harness._cell_problem(task, payload) is None
 
-    def test_nan_only_as_log_density_of_empty_bin(self):
+    def test_nan_only_as_log_density_of_empty_bin(self, tmp_path):
         config = tiny_config(
             kind="distribution-shape",
             grids=(GridBlock(qs=(1.5,), ms=(1,), ks=(1,), ns=(60,)),),
@@ -460,10 +510,11 @@ class TestCellValidation:
             draws=5000,
         )
         task = harness._plan(config)[-1]
-        payload = json.loads(json.dumps(harness._compute_task(config, task)))
+        harness._compute_task(config, tmp_path, task)
+        payload = json.loads(harness._cell_path(tmp_path, task).read_text())
         assert (task.n, task.ks, task.shape) == (0, (), (None, 3))
         assert harness._cell_problem(task, payload) is None
-        rows = run_experiment(config)["shape_sample_density.csv"]
+        rows = run_files(config, tmp_path / "run")["shape_sample_density.csv"]
         assert [row[3:6] for row in rows] == payload["matrix"]
         assert any(math.isnan(row[6]) for row in rows)
         payload["matrix"][0][2] = math.nan  # the density column
@@ -494,14 +545,14 @@ class TestCellValidation:
 
 
 class TestNormalitySweep:
-    def test_rows_and_bounds(self):
+    def test_rows_and_bounds(self, tmp_path):
         config = tiny_config(
             kind="normality-sweep",
             grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(100,)),),
             replications=5,
             inner_batch=30,
         )
-        rows = run_experiment(config)["normality.csv"]
+        rows = run_files(config, tmp_path)["normality.csv"]
         assert len(rows) == 1
         q, m, k, n, mean_p, m_out, n_in, seed = rows[0]
         assert 0.0 <= mean_p <= 1.0
@@ -513,13 +564,13 @@ class TestNormalitySweep:
 
 
 class TestConvergence:
-    def test_curves_and_regression(self):
+    def test_curves_and_regression(self, tmp_path):
         config = tiny_config(
             kind="convergence",
             grids=(GridBlock(qs=(1.2, 1.5), ms=(2,), ks=(1,), ns=(50, 100, 200)),),
             replications=40,
         )
-        files = run_experiment(config)
+        files = run_files(config, tmp_path)
         curves, regression = files["convergence.csv"], files["regression.csv"]
         assert len(curves) == 6
         assert len(regression) == 2
@@ -530,39 +581,39 @@ class TestConvergence:
         assert infeasible[:3] == [1.5, 2, 1]
         assert infeasible[3] == "infeasible"
 
-    def test_std_decreases_with_n(self):
+    def test_std_decreases_with_n(self, tmp_path):
         config = tiny_config(
             kind="convergence",
             grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(50, 400)),),
             replications=60,
         )
-        curves = run_experiment(config)["convergence.csv"]
+        curves = run_files(config, tmp_path)["convergence.csv"]
         assert curves[1][5] < curves[0][5]  # std_q at N=400 < at N=50
 
 
 class TestConsistencyCurves:
-    def test_estimates_approach_closed_form(self):
+    def test_estimates_approach_closed_form(self, tmp_path):
         config = tiny_config(
             kind="consistency-curves",
             grids=(GridBlock(qs=(0.5,), ms=(1,), ks=(1,), ns=(200, 2000)),),
             family="t2",
             replications=30,
         )
-        rows = run_experiment(config)["consistency.csv"]
+        rows = run_files(config, tmp_path)["consistency.csv"]
         assert len(rows) == 2
         h_true = rows[0][6]
         err_small = abs(rows[0][4] - h_true)
         err_large = abs(rows[1][4] - h_true)
         assert err_large < err_small
 
-    def test_no_covariance_bridge_needed(self):
+    def test_no_covariance_bridge_needed(self, tmp_path):
         # q=1.5 at m=2 has no covariance, but estimation itself is feasible
         config = tiny_config(
             kind="consistency-curves",
             grids=(GridBlock(qs=(1.5,), ms=(2,), ks=(1,), ns=(100,)),),
             replications=10,
         )
-        rows = run_experiment(config)["consistency.csv"]
+        rows = run_files(config, tmp_path)["consistency.csv"]
         assert not isinstance(rows[0][4], str)
 
 
@@ -585,21 +636,21 @@ class TestDistributionShape:
         dens = (tmp_path / "shape_stat_density.csv").read_text().strip().splitlines()
         assert len(dens) > 2
 
-    def test_histogram_mass_is_one(self):
-        files = run_experiment(self.make_config())
+    def test_histogram_mass_is_one(self, tmp_path):
+        files = run_files(self.make_config(), tmp_path)
         rows = files["shape_sample_density.csv"]
         mass = sum((r[4] - r[3]) * r[5] for r in rows)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
-    def test_qq_pairs_are_sorted(self):
-        files = run_experiment(self.make_config())
+    def test_qq_pairs_are_sorted(self, tmp_path):
+        files = run_files(self.make_config(), tmp_path)
         rows = files["shape_stat_qq.csv"]
         standardized = [r[5] for r in rows]
         quantiles = [r[6] for r in rows]
         assert standardized == sorted(standardized)
         assert quantiles == sorted(quantiles)
 
-    def test_qq_correlation_near_normal_regime(self):
+    def test_qq_correlation_near_normal_regime(self, tmp_path):
         # at q close to 1 the statistic distribution is near normal, so the
         # emitted Q-Q pairs are nearly linear
         config = tiny_config(
@@ -607,13 +658,13 @@ class TestDistributionShape:
             grids=(GridBlock(qs=(1.1,), ms=(2,), ks=(1,), ns=(1000,)),),
             replications=100,
         )
-        rows = run_experiment(config)["shape_stat_qq.csv"]
+        rows = run_files(config, tmp_path)["shape_stat_qq.csv"]
         standardized = np.array([r[5] for r in rows])
         quantiles = np.array([r[6] for r in rows])
         corr = float(np.corrcoef(standardized, quantiles)[0, 1])
         assert corr >= 0.98
 
-    def test_heavy_tail_log_density_exceeds_gaussian_fit(self):
+    def test_heavy_tail_log_density_exceeds_gaussian_fit(self, tmp_path):
         # emitted log-density of q=1.5 draws sits above a moment-matched
         # normal fit beyond 3 standard deviations
         config = tiny_config(
@@ -622,7 +673,7 @@ class TestDistributionShape:
             replications=10,
             draws=200_000,
         )
-        rows = run_experiment(config)["shape_sample_density.csv"]
+        rows = run_files(config, tmp_path)["shape_sample_density.csv"]
         centers = np.array([(r[3] + r[4]) / 2.0 for r in rows])
         widths = np.array([r[4] - r[3] for r in rows])
         density = np.array([r[5] for r in rows])
@@ -643,7 +694,10 @@ class TestCriticalValueTable:
         run_experiment(config, out_dir=tmp_path, workers=1)
         table = CriticalValueTable.from_csv(tmp_path / "critical_values.csv")
         assert len(table.rows) == 2
-        assert table.lookup(q=1.2, m=2, k=1, n=80, alpha=0.05) is not None
+        for n in (60, 80):
+            value = table.lookup(q=1.2, m=2, k=1, n=n, alpha=0.05)
+            assert value is not None and math.isfinite(value)
+        assert table.lookup(q=1.3, m=2, k=1, n=60, alpha=0.05) is None
 
     def test_infeasible_rows_round_trip_as_none(self, tmp_path):
         config = tiny_config(grids=(GridBlock(qs=(2.5,), ms=(2,), ks=(1,), ns=(60,)),))
