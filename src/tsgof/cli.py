@@ -3,14 +3,15 @@
 Subcommands: sample, entropy, gof, critical-values, normality-sweep,
 convergence, shape. Single-shot results are printed as JSON on stdout;
 experiment subcommands write CSV tables. Exit codes: 0 success, 1 domain
-or feasibility error, 2 I/O or configuration error; any other exception is
-an internal error and exits 1. Error messages are single JSON objects on
-stderr. Output files are written atomically (temp-and-rename), so a
-non-zero exit never leaves a partial primary output behind. Experiment
-subcommands take their output directory from --out and their worker count
-from --workers (default 1); a whole config is checked before any task
-runs, and each task writes its own cell file under <out>/.cells as it
-finishes, so an interrupted run resumes.
+or feasibility error, 2 I/O or configuration error, 1 on SIGINT (kind
+`interrupted`); any other exception is an internal error and exits 1.
+Error messages are single JSON objects on stderr. Output files are
+written atomically (temp-and-rename), so a non-zero exit never leaves a
+partial primary output behind. Experiment subcommands take their output
+directory from --out and their worker count from --workers (default 1); a
+whole config is checked before any task runs, and each task writes its
+own cell file under <out>/.cells as it finishes, so an interrupted run
+resumes.
 """
 
 import argparse
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _fail("io", str(exc))
         return _EXIT_CONFIG
+    except KeyboardInterrupt:
+        _fail("interrupted", "interrupted; an experiment rerun resumes from the finished cells")
+        return _EXIT_DOMAIN
     except Exception as exc:  # a bug: still one JSON line, with the traceback inside it
         _fail("internal", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
         return _EXIT_DOMAIN

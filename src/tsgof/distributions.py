@@ -264,25 +264,35 @@ def qgauss_log_pdf(x, params: QGaussianParams) -> float:
     return log_c + math.log(bracket) / (1.0 - q)
 
 
-def _qgauss_log_q_integral(params: QGaussianParams) -> float:
-    m, q = params.m, params.q
+def _qgauss_log_q_integral_of(m: int, q: float):
+    """log integral(f^q) of the index-q member in R^m as a function of
+    log det Sigma, with the (m, q) constants formed once."""
     _check_order(q)
-    return (
-        q * _qgauss_log_norm_const(params)
-        + 0.5 * params.sigma.log_det
-        + _log_sphere_area(m)
-        + _qgauss_log_radial(m, q, q)
-    )
+    area = _log_sphere_area(m)
+    radial_1 = _qgauss_log_radial(m, q, 1.0)
+    radial_q = _qgauss_log_radial(m, q, q)
+    # q * log C_q + log[det(Sigma)^(1/2) * sphere area * radial integral of order q]
+    return lambda log_det: q * -(0.5 * log_det + area + radial_1) + 0.5 * log_det + area + radial_q
 
 
 def qgauss_q_integral(params: QGaussianParams) -> float:
     """integral of f^q over R^m for the q-Gaussian."""
-    return math.exp(_qgauss_log_q_integral(params))
+    log_q_integral = _qgauss_log_q_integral_of(params.m, params.q)
+    return math.exp(log_q_integral(params.sigma.log_det))
+
+
+def qgauss_entropy_of_log_det(m: int, q: float):
+    """Order-q Tsallis entropy (1 - I_q)/(q - 1) of the index-q member in
+    R^m as a function of log det Sigma: the sphere area and the two radial
+    Beta logs are formed once, for callers that evaluate many shape
+    matrices."""
+    log_q_integral = _qgauss_log_q_integral_of(m, q)
+    return lambda log_det: math.expm1(log_q_integral(log_det)) / (1.0 - q)
 
 
 def qgauss_tsallis_entropy(params: QGaussianParams) -> float:
     """Order-q Tsallis entropy of the q-Gaussian: (1 - I_q)/(q - 1)."""
-    return math.expm1(_qgauss_log_q_integral(params)) / (1.0 - params.q)
+    return qgauss_entropy_of_log_det(params.m, params.q)(params.sigma.log_det)
 
 
 def qgauss_covariance_factor(m: int, q: float) -> float:

@@ -8,7 +8,10 @@ with rho_i the distance from X_i to its k-th nearest neighbor,
 estimates integral(f^q), and the Tsallis entropy estimate is
 h_hat = (1 - i_hat)/(q - 1). C(k, q) is the Gamma-ratio bias constant and
 V_m the unit-ball volume. The per-point terms are evaluated in log space,
-which keeps tiny neighbor distances from underflowing rho^m.
+which keeps tiny neighbor distances from underflowing rho^m, and summed
+with exact rounding (`mathcore.exact_sums`), so the estimate does not
+depend on point order. `lps_sums` evaluates many rows of distances, say
+every k of a block of replicates, with one exact_sums call.
 """
 
 import math
@@ -19,7 +22,7 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError
 from .knn import knn_distances
 from .linalg import as_sample_matrix
-from .mathcore import log_gamma, unit_ball_volume
+from .mathcore import exact_sums, log_gamma, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,32 @@ def knn_bias_constant(k: int, q: float) -> float:
     return math.exp((log_gamma(k) - log_gamma(k + 1.0 - q)) / (1.0 - q))
 
 
+def lps_log_scale(n: int, k: int, q: float, m: int) -> float:
+    """log[(N-1) C(k, q) V_m], the constant factor of every term of the sum."""
+    return math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
+
+
+def require_positive_distances(rho, q: float) -> None:
+    """For q > 1 a zero distance (a duplicate point) makes the estimate
+    infinite: raise DegenerateSampleError."""
+    if q > 1 and np.min(rho) == 0.0:
+        raise DegenerateSampleError(
+            "duplicate points give zero neighbor distances, undefined for q > 1 "
+            "(remove or perturb the duplicates, or use q < 1)"
+        )
+
+
+def lps_sums(rho, log_scale, q: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """i_hat and h_hat of each row of rho, a (rows, N) array of k-th neighbor
+    distances of N points in R^m; log_scale[r] is lps_log_scale at row r's
+    k. Every row's sum is exactly rounded, through one exact_sums call.
+    """
+    with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
+        powers = np.exp((1.0 - q) * (log_scale[:, None] + m * np.log(rho)))
+    i_hat = exact_sums(powers) / rho.shape[1]
+    return i_hat, (1.0 - i_hat) / (q - 1.0)
+
+
 def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
     """The estimate from rho, the k-th neighbor distances of N points in R^m.
 
@@ -66,18 +95,9 @@ def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
     infinite and raises DegenerateSampleError.
     """
     n = rho.shape[0]
-    if q > 1 and np.min(rho) == 0.0:
-        raise DegenerateSampleError(
-            "duplicate points give zero neighbor distances, undefined for q > 1 "
-            "(remove or perturb the duplicates, or use q < 1)"
-        )
-    log_scale = math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
-    with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
-        powers = np.exp((1.0 - q) * (log_scale + m * np.log(rho)))
-    # exactly rounded sum: reproducible and invariant to point order
-    i_hat = math.fsum(powers.tolist()) / n
-    h_hat = (1.0 - i_hat) / (q - 1.0)
-    return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
+    require_positive_distances(rho, q)
+    i_hat, h_hat = lps_sums(rho[None], np.array([lps_log_scale(n, k, q, m)]), q, m)
+    return EntropyEstimate(i_hat=float(i_hat[0]), h_hat=float(h_hat[0]), q=q, k=int(k), n=n, m=m)
 
 
 def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:

@@ -17,26 +17,39 @@ it.
 Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
 't2', the compact-support q-Gaussian. `infeasibility_reason` is the one
 feasibility rule for both.
+
+The observed Q and every null replicate go through one block function,
+which forms a point's constants once and evaluates a stack of samples
+with vectorized, exactly rounded sums (`mathcore.exact_sums`); its
+results equal, bit for bit, those of forming each sample's covariance,
+null entropy and estimate alone with math.fsum.
 """
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .distributions import (
     QGaussianParams,
+    qgauss_covariance_factor,
+    qgauss_entropy_of_log_det,
     qgauss_shape_from_covariance,
     qgauss_tsallis_entropy,
     qgauss_sample,
 )
-from .entropy import knn_bias_constant, lps_estimate
+from .entropy import knn_bias_constant, lps_log_scale, lps_sums, require_positive_distances
 from .knn import knn_distances
 from .errors import ConfigError, DomainError, InfeasibleModelError
-from .linalg import SymPDMatrix, as_sample_matrix, sample_mean_cov
+from .linalg import SymPDMatrix, as_sample_matrix, log_det, sample_moments
 from .mathcore import RngStream
 from .statkit import empirical_quantile
 
 FAMILIES = ("t1", "t2")
+
+# samples x points per block of null draws: B = max(1, 8192 // N) keeps a
+# block's scratch arrays near 3 MB or less at m = 3
+_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -117,19 +130,41 @@ def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> t
     return tuple(int(k) for k in ks)
 
 
-def _sample_statistics(a: np.ndarray, ks: tuple, q: float, family: str, statistic: bool) -> list:
-    """Q (with statistic) or h_hat of one sample matrix, at every k of ks.
+def _block_kernel(n: int, m: int, ks: tuple, q: float, family: str, statistic: bool):
+    """A function from a (B, n, m) stack of samples to their (B, len(ks))
+    matrix of Q (with statistic) or h_hat, at every k of ks.
 
-    The covariance and null entropy are formed once, before one neighbor
-    query at max(ks), whose column k-1 gives each k its estimate. The ks
-    must have passed _checked_ks.
+    The point's constants (bias constants, ball volume, sphere area, radial
+    Beta logs, covariance factor) are formed here, once. Per block, all
+    means take one exact_sums call, all covariance entries one more and
+    all estimator sums a third. Per sample, in order, come the Cholesky
+    log-det of the null shape matrix, one neighbor query at max(ks), whose
+    column k-1 gives each k its distances, and the duplicate check. So a
+    rank-deficient sample raises NotPositiveDefiniteError even if it also
+    has duplicates. The ks must have passed _checked_ks.
     """
-    m = a.shape[1]
+    columns = [k - 1 for k in ks]
+    log_scales = np.array([lps_log_scale(n, k, q, m) for k in ks])
     if statistic:
-        upper = null_max_entropy(sample_mean_cov(a)[1], m, q, family)
-    rho = knn_distances(a, max(ks))
-    h_hat = [lps_estimate(rho[:, k - 1], k, q, m).h_hat for k in ks]
-    return [upper - h for h in h_hat] if statistic else h_hat
+        shape_scale = 1.0 / qgauss_covariance_factor(m, q)
+        null_entropy = qgauss_entropy_of_log_det(m, q)
+
+    def evaluate(samples: np.ndarray) -> np.ndarray:
+        count = samples.shape[0]
+        if statistic:
+            shapes = sample_moments(samples)[1] * shape_scale
+            upper = np.empty(count)
+        rho = np.empty((count, len(ks), n))
+        for j, sample in enumerate(samples):
+            if statistic:
+                upper[j] = null_entropy(log_det(shapes[j]))
+            rho[j] = knn_distances(sample, max(ks)).T[columns]
+            require_positive_distances(rho[j], q)
+        h_hat = lps_sums(rho.reshape(-1, n), np.tile(log_scales, count), q, m)[1]
+        h_hat = h_hat.reshape(count, len(ks))
+        return upper[:, None] - h_hat if statistic else h_hat
+
+    return evaluate
 
 
 def gof_statistic(x, k: int, q: float, family: str) -> TestResult:
@@ -142,7 +177,7 @@ def gof_statistic(x, k: int, q: float, family: str) -> TestResult:
     a = as_sample_matrix(x)
     n, m = a.shape
     ks = _checked_ks((k,), q, m, n, family, True)
-    (statistic,) = _sample_statistics(a, ks, q, family, True)
+    statistic = float(_block_kernel(n, m, ks, q, family, True)(a[None])[0, 0])
     return TestResult(statistic=statistic, family=family, q=q, k=ks[0], n=n, m=m)
 
 
@@ -196,17 +231,26 @@ def null_replicates(
     """One standard null draw of size n per RngStream in streams, evaluated
     at every k of ks: a (replicates, len(ks)) matrix.
 
-    Each draw goes through the same per-sample function as gof_statistic,
-    with one neighbor query at max(ks), so all ks share draws (common
-    random numbers across k) and each column equals what a run with
-    ks=(k,) gives, bit for bit. With statistic, entries are Q; without it
-    they are the estimates h_hat, and the covariance bridge is not
-    required.
+    The draws are evaluated in blocks of max(1, 8192 // n), through the
+    same block function as gof_statistic, with one neighbor query at
+    max(ks), so all ks share draws (common random numbers across k) and
+    each column equals what a run with ks=(k,) gives, bit for bit. Where a
+    block fails, its draws are evaluated again one at a time, so the first
+    failing draw raises what it raises alone, wherever the block
+    boundaries fall. With statistic, entries are Q; without it they are
+    the estimates h_hat, and the covariance bridge is not required.
     """
     ks = _checked_ks(ks, q, m, n, family, statistic)
     params = QGaussianParams(m=m, q=q)
-    rows = [
-        _sample_statistics(qgauss_sample(params, n, rng), ks, q, family, statistic)
-        for rng in streams
-    ]
-    return np.array(rows).reshape(-1, len(ks))
+    evaluate = _block_kernel(n, m, ks, q, family, statistic)
+    streams = iter(streams)
+    blocks = []
+    while chunk := list(islice(streams, max(1, _BLOCK_VALUES // n))):
+        samples = np.stack([qgauss_sample(params, n, rng) for rng in chunk])
+        try:
+            blocks.append(evaluate(samples))
+        except (ValueError, OverflowError):
+            for j in range(len(samples)):
+                evaluate(samples[j : j + 1])
+            raise
+    return np.concatenate(blocks) if blocks else np.empty((0, len(ks)))

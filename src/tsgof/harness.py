@@ -57,6 +57,7 @@ import json
 import logging
 import math
 import os
+import signal
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -529,11 +530,18 @@ def _regression_rows(config: ExperimentConfig, columns: dict) -> list:
 
 def deterministic_map(fn, items, workers: int = 1) -> list:
     """Order-preserving map, optionally across processes; results do not
-    depend on the worker count."""
+    depend on the worker count. SIGINT ends a worker at once, without a
+    traceback; on KeyboardInterrupt in this process the queued tasks are
+    cancelled, not run, before it propagates."""
     if workers <= 1:
         return list(map(fn, items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    reset_sigint = (signal.SIGINT, signal.SIG_DFL)
+    with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=reset_sigint) as pool:
+        try:
+            return list(pool.map(fn, items))
+        except KeyboardInterrupt:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _cell_problem(task: _Task, payload) -> str | None:

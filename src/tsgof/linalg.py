@@ -4,8 +4,10 @@ Mahalanobis forms, and sample moments.
 Matrices here are tiny (dimension ~10 at most), so the Cholesky is the
 classic unpivoted algorithm with an explicit pivot threshold; that keeps
 full control over the failure diagnostics. Sample means and covariances
-accumulate with exactly rounded summation (math.fsum), which makes them
-invariant to row permutation bit-for-bit.
+accumulate with exactly rounded summation (`mathcore.exact_sums`, the bits
+of math.fsum), which makes them invariant to row permutation bit-for-bit.
+`sample_moments` forms them for a whole stack of samples at once, with one
+exact_sums call for the means and one for the covariance entries.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NotPositiveDefiniteError
+from .mathcore import exact_sums
 
 _SYMMETRY_RTOL = 1e-12
 _PIVOT_RTOL = 1e-12
@@ -136,18 +139,29 @@ def sample_mean_cov(x) -> tuple[np.ndarray, SymPDMatrix]:
     depend on row order. The covariance is returned unchecked for positive
     definiteness; downstream Cholesky use raises if it is degenerate.
     """
-    a = as_sample_matrix(x)
-    n, m = a.shape
-    # fsum over a list skips the per-element numpy scalar boxing; same bits
-    mean = np.array([math.fsum(a[:, j].tolist()) for j in range(m)]) / n
-    centered = a - mean
-    cov = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v = math.fsum((centered[:, i] * centered[:, j]).tolist()) / (n - 1)
-            cov[i, j] = v
-            cov[j, i] = v
-    return mean, SymPDMatrix(cov)
+    mean, cov = sample_moments(as_sample_matrix(x)[None])
+    return mean[0], SymPDMatrix(cov[0])
+
+
+def sample_moments(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Column means (B, m) and (N-1)-divisor covariances (B, m, m) of a
+    (B, N, m) stack of samples, each with the bits sample_mean_cov gives
+    that sample alone: every column sum and every covariance entry is
+    math.fsum's, through one exact_sums call for all means and one for
+    all covariance entries. A non-finite entry raises DomainError as
+    as_sample_matrix does.
+    """
+    b, n, m = samples.shape
+    as_sample_matrix(samples.reshape(b * n, m))  # its finite check, once for the stack
+    columns = np.ascontiguousarray(samples.transpose(0, 2, 1))  # one row per column
+    mean = exact_sums(columns.reshape(b * m, n)).reshape(b, m) / n
+    centered = columns - mean[:, :, None]
+    i, j = np.triu_indices(m)
+    upper = exact_sums((centered[:, i] * centered[:, j]).reshape(-1, n)).reshape(b, -1) / (n - 1)
+    cov = np.empty((b, m, m))
+    cov[:, i, j] = upper
+    cov[:, j, i] = upper
+    return mean, cov
 
 
 def mahalanobis_sq(x, mu, a) -> float:

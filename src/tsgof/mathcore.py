@@ -92,6 +92,53 @@ def unit_ball_volume(m: int) -> float:
     return float(math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)))
 
 
+def exact_sums(rows) -> np.ndarray:
+    """The exactly rounded sum of each row of a 2-D array: math.fsum(row.tolist())
+    for every row, bit for bit.
+
+    Two vectorized error-free extraction passes (ExtractVector of Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008), the first with
+    sigma = 2^(e + b + 1) for max|row| < 2^e and N < 2^b, the second with
+    sigma * 2^(b - 53), split every entry into two parts whose row sums
+    are exact in any order and a remainder. The exact row sum is then the
+    two pass totals plus the remainders, and math.fsum of those, being
+    correctly rounded, returns what math.fsum of the row does. Rows that
+    are empty or all zero, hold a non-finite value, or would need
+    sigma > 2^1023 go to math.fsum itself, so their signed zeros, inf, nan
+    and OverflowError are its own. A strided input is copied to C order
+    first: the passes run about ten times slower over strided rows.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise DomainError(f"exact_sums takes a 2-D array, got ndim={rows.ndim}")
+    bits = rows.shape[1].bit_length()
+    with np.errstate(invalid="ignore", over="ignore"):  # plain rows' passes are discarded
+        top = np.max(np.abs(rows), axis=1, initial=0.0)
+        exponent = np.frexp(top)[1] + bits + 1
+        extract = np.isfinite(top) & (top > 0.0) & (exponent <= 1023)
+        sigma = np.ldexp(1.0, np.where(extract, exponent, 0))[:, None]
+        high = np.add(sigma, rows)
+        high -= sigma
+        rest = rows - high
+        totals = [high.sum(axis=1).tolist()]
+        sigma *= 2.0 ** (bits - 53)
+        np.add(sigma, rest, out=high)
+        high -= sigma
+        rest -= high
+        totals.append(high.sum(axis=1).tolist())
+    nonzero = rest != 0.0
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    rest = rest[nonzero].tolist()
+    out, start = [], 0
+    for i, (end, exact) in enumerate(zip(ends, extract.tolist())):
+        if exact:
+            out.append(math.fsum([totals[0][i], totals[1][i], *rest[start:end]]))
+        else:
+            out.append(math.fsum(rows[i].tolist()))
+        start = end
+    return np.array(out)
+
+
 def draw_gamma(rng: RngStream, shape: float, size=None):
     """Gamma(shape, scale=1) variates.
 

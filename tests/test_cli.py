@@ -365,6 +365,40 @@ class TestExperimentCommands:
         assert run_cli(clean, capsys)[0] == 0
         assert results(run) == results(tmp_path / "clean")
 
+    def test_interrupted_run_exits_1_and_resumes(self, capsys, tmp_path):
+        # SIGINT to the whole process group, as Ctrl-C sends it, while the
+        # N = 8000 task runs and after the three small cells are written
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG.replace("N = 60", "N = 8000 60 80 100"))
+        run = tmp_path / "run"
+        cells = run / ".cells" / harness.load_config(cfg).config_hash()
+        small = [cells / f"task-{i:06d}.json" for i in range(1, 4)]
+        args = ["critical-values", "--config", str(cfg), "--workers", "2", "--out"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tsgof.cli", *args, str(run)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while proc.poll() is None and time.monotonic() < deadline:
+                if all(path.exists() for path in small):
+                    break
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            kill_group(proc)
+        assert proc.returncode == 1
+        (line,) = err.decode().splitlines()
+        assert json.loads(line)["kind"] == "interrupted"
+        assert [path.name for path in run.iterdir()] == [".cells"]  # no CSV, no manifest
+        assert run_cli(args + [str(run)], capsys)[0] == 0
+        clean = ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "clean")]
+        assert run_cli(clean, capsys)[0] == 0
+        assert tree_bytes(run) == tree_bytes(tmp_path / "clean")
+
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG + "\nwhat = 3\n")

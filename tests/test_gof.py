@@ -11,6 +11,7 @@ from tsgof.errors import (
     NotPositiveDefiniteError,
 )
 from tsgof.distributions import QGaussianParams, qgauss_sample
+from tsgof import gof
 from tsgof.entropy import tsallis_knn_estimate
 from tsgof.gof import (
     TestResult,
@@ -22,7 +23,7 @@ from tsgof.gof import (
     run_test,
 )
 from tsgof.harness import CriticalValueRow, CriticalValueTable
-from tsgof.linalg import SymPDMatrix
+from tsgof.linalg import SymPDMatrix, sample_mean_cov
 from tsgof.mathcore import RngStream
 
 GAUSS_SHANNON_1D = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -220,13 +221,69 @@ class TestNullReplicates:
             assert shared[:, j].tobytes() == alone[:, 0].tobytes()
 
     def test_entries_equal_per_draw_statistic_and_estimate(self):
+        # and the block's inlined null entropy equals null_max_entropy's
         stats = self.replicates((1, 3))
         estimates = self.replicates((1, 3), statistic=False)
         for r in range(12):
             draw = null_draws(80, 3, r)
+            upper = null_max_entropy(sample_mean_cov(draw)[1], 2, 1.2, "t1")
             for j, k in enumerate((1, 3)):
+                h_hat = tsallis_knn_estimate(draw, k, 1.2).h_hat
                 assert stats[r, j] == gof_statistic(draw, k, 1.2, "t1").statistic
-                assert estimates[r, j] == tsallis_knn_estimate(draw, k, 1.2).h_hat
+                assert stats[r, j] == upper - h_hat
+                assert estimates[r, j] == h_hat
+
+    @pytest.mark.parametrize("statistic", [True, False])
+    def test_block_boundaries_do_not_matter(self, statistic):
+        # N = 1000 gives blocks of 8 draws, so 12 draws make a block of 8 and one of 4
+        def run(reps):
+            streams = (RngStream(4, r) for r in reps)
+            return null_replicates(1000, 2, (1, 3), 1.2, "t1", streams, statistic).tobytes()
+
+        whole = run(range(12))
+        assert whole == b"".join(run([r]) for r in range(12))
+        for j in (1, 5, 8, 11):
+            assert whole == run(range(j)) + run(range(j, 12))
+
+    FAULTS = {
+        "duplicate": lambda x: x.__setitem__(1, x[0]),
+        "rank-1": lambda x: x.__setitem__((slice(None), 1), 2.0 * x[:, 0]),
+        "non-finite": lambda x: x.__setitem__((0, 0), math.inf),
+    }
+
+    @pytest.mark.parametrize(
+        "planted,error,message",
+        [
+            ({5: "duplicate"}, DegenerateSampleError,
+             "duplicate points give zero neighbor distances, undefined for q > 1 "
+             "(remove or perturb the duplicates, or use q < 1)"),
+            ({5: "rank-1"}, NotPositiveDefiniteError,
+             "matrix is not positive definite (pivot 1 <= 0)"),
+            ({3: "duplicate", 5: "rank-1"}, DegenerateSampleError, None),
+            ({1: "rank-1", 2: "non-finite"}, NotPositiveDefiniteError, None),
+            ({1: "non-finite", 2: "rank-1"}, DomainError, "sample matrix entries must be finite"),
+        ],
+        ids=["duplicate", "rank-1", "duplicate-first", "rank-1-first", "non-finite-first"],
+    )
+    def test_first_bad_draw_raises_as_alone(self, monkeypatch, planted, error, message):
+        # the moments of a whole block come before any draw's Cholesky, yet
+        # the first bad draw in stream order names the error
+        draw = gof.qgauss_sample
+        calls = iter(range(12))
+
+        def sample(params, n, rng):
+            x = draw(params, n, rng)
+            fault = planted.get(next(calls))
+            if fault:
+                self.FAULTS[fault](x)
+            return x
+
+        monkeypatch.setattr(gof, "qgauss_sample", sample)
+        with pytest.raises(error) as err:
+            self.replicates((1, 2))
+        assert type(err.value) is error
+        if message is not None:
+            assert str(err.value) == message
 
     def test_estimates_need_no_covariance_bridge(self):
         # q=1.5 at m=2 has no covariance, but it can be drawn and estimated

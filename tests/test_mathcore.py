@@ -3,12 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgof.errors import DomainError
 from tsgof.mathcore import (
     RngStream,
     content_index,
     draw_gamma,
+    exact_sums,
     log_gamma,
     unit_ball_volume,
 )
@@ -136,3 +139,84 @@ class TestDraws:
         rng = RngStream(0)
         with pytest.raises(DomainError):
             draw_gamma(rng, 0.0)
+
+
+# a float with a 54-bit signed integer significand and any exponent from the
+# subnormal range to about 1e300
+SPREAD = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1074, 944))
+
+
+@st.composite
+def row_of(draw, width):
+    kind = draw(st.sampled_from(
+        ["spread", "one scale", "cancel", "tie", "zeros", "negative zeros", "special",
+         "overflow"]))
+    if kind == "spread":
+        return draw(st.lists(SPREAD, min_size=width, max_size=width))
+    if kind == "one scale":  # full 53-bit significands of one binade, whose sums carry
+        scale = draw(st.integers(-1074, 944))
+        significand = st.integers(2**52, 2**53 - 1) | st.integers(-(2**53) + 1, -(2**52))
+        return [math.ldexp(v, scale) for v in draw(
+            st.lists(significand, min_size=width, max_size=width))]
+    if kind == "cancel":  # exact cancellation pairs, and what is left of them
+        half = draw(st.lists(SPREAD, min_size=width // 2, max_size=width // 2))
+        rest = draw(st.lists(SPREAD, min_size=width % 2, max_size=width % 2))
+        return half + [-v for v in half] + rest
+    if kind == "tie":  # the exact sum lies halfway between two floats, or next to it
+        scale = draw(st.integers(-1000, 900))
+        nudge = draw(st.sampled_from([0.0, 2.0**-140, -(2.0**-140)]))
+        values = [math.ldexp(1.0, scale), math.ldexp(1.0, scale - 53), math.ldexp(nudge, scale)]
+        values += [0.0] * max(0, width - 3)
+        return draw(st.permutations(values))[:width] if width >= 3 else values[:width]
+    if kind == "zeros":
+        return [draw(st.sampled_from([0.0, -0.0])) for _ in range(width)]
+    if kind == "negative zeros":
+        return [-0.0] * width
+    if kind == "special":
+        row = draw(st.lists(SPREAD, min_size=width, max_size=width))
+        if row:
+            row[draw(st.integers(0, width - 1))] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan]))
+        return row
+    return [1.7e308] * width  # overflows in fsum from two entries on
+
+
+@st.composite
+def row_matrices(draw):
+    width = draw(st.integers(0, 40))
+    listed = draw(st.lists(row_of(width), min_size=1, max_size=6))
+    rows = np.array(listed, dtype=float).reshape(len(listed), width)
+    layout = draw(st.sampled_from(["contiguous", "column major", "every other column"]))
+    if layout == "column major":
+        return np.asfortranarray(rows)
+    if layout == "every other column":
+        wide = np.zeros((rows.shape[0], 2 * width))
+        wide[:, ::2] = rows
+        return wide[:, ::2]
+    return rows
+
+
+class TestExactSums:
+    @settings(deadline=None)
+    @given(row_matrices())
+    def test_bits_and_errors_equal_fsum_per_row(self, rows):
+        try:
+            expected = [math.fsum(row.tolist()) for row in rows]
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                exact_sums(rows)
+            return
+        got = exact_sums(rows)
+        assert got.shape == (rows.shape[0],)
+        assert got.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+    def test_zero_signs_and_empty_rows(self):
+        rows = np.array([[-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [2.0**-1074, -(2.0**-1074)]])
+        got = exact_sums(rows)
+        assert [math.copysign(1.0, v) for v in got] == [
+            math.copysign(1.0, math.fsum(row.tolist())) for row in rows]
+        assert exact_sums(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(DomainError, match="2-D"):
+            exact_sums(np.ones(4))
