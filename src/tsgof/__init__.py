@@ -2,75 +2,64 @@
 q-Gaussian models: exact samplers, closed-form entropies, the
 nearest-neighbor entropy estimator, test statistics, and a reproducible
 Monte Carlo experiment harness.
+
+Importing the package loads none of its submodules, so neither numpy nor
+scipy: each public name (and each submodule) is imported on first use.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateSampleError,
-    DomainError,
-    InfeasibleModelError,
-    NotPositiveDefiniteError,
-)
-from .mathcore import (
-    RngStream,
-    draw_gamma,
-    log_gamma,
-    unit_ball_volume,
-)
-from .linalg import (
-    SymPDMatrix,
-    as_sample_matrix,
-    cholesky,
-    log_det,
-    mahalanobis_sq,
-    sample_mean_cov,
-)
-from .distributions import (
-    GGParams,
-    QGaussianParams,
-    gg_covariance,
-    gg_log_pdf,
-    gg_norm_const,
-    gg_q_integral,
-    gg_sample,
-    gg_tsallis_entropy,
-    gg_variance_scale,
-    qgauss_covariance,
-    qgauss_covariance_factor,
-    qgauss_log_pdf,
-    qgauss_norm_const,
-    qgauss_q_integral,
-    qgauss_sample,
-    qgauss_shape_from_covariance,
-    qgauss_tsallis_entropy,
-    tsallis_entropy_uniform,
-)
-from .knn import knn_distances, knn_distances_bruteforce
-from .entropy import (
-    ConsistencyReport,
-    EntropyEstimate,
-    check_consistency_conditions,
-    knn_bias_constant,
-    tsallis_knn_estimate,
-)
-from .statkit import (
-    RegressionFit,
-    ShapiroResult,
-    empirical_quantile,
-    ols_slope_with_offset,
-    shapiro_wilk,
-)
-from .gof import TestResult, gof_statistic, null_max_entropy, run_test
-from .harness import (
-    CriticalValueRow,
-    CriticalValueTable,
-    ExperimentConfig,
-    GridBlock,
-    load_config,
-    parse_config,
-    run_experiment,
-)
+# submodule -> the public names it exports through the package
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DegenerateSampleError", "DomainError", "InfeasibleModelError",
+        "NotPositiveDefiniteError",
+    ),
+    "mathcore": ("RngStream", "draw_gamma", "log_gamma", "unit_ball_volume"),
+    "linalg": (
+        "SymPDMatrix", "as_sample_matrix", "cholesky", "log_det", "mahalanobis_sq",
+        "sample_mean_cov",
+    ),
+    "distributions": (
+        "GGParams", "QGaussianParams", "gg_covariance", "gg_log_pdf", "gg_norm_const",
+        "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale",
+        "qgauss_covariance", "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const",
+        "qgauss_q_integral", "qgauss_sample", "qgauss_shape_from_covariance",
+        "qgauss_tsallis_entropy", "tsallis_entropy_uniform",
+    ),
+    "knn": ("knn_distances", "knn_distances_bruteforce"),
+    "entropy": (
+        "ConsistencyReport", "EntropyEstimate", "check_consistency_conditions",
+        "knn_bias_constant", "tsallis_knn_estimate",
+    ),
+    "statkit": (
+        "RegressionFit", "ShapiroResult", "empirical_quantile", "ols_slope_with_offset",
+        "shapiro_wilk",
+    ),
+    "gof": ("TestResult", "gof_statistic", "null_max_entropy", "run_test"),
+    "harness": (
+        "CriticalValueRow", "CriticalValueTable", "ExperimentConfig", "GridBlock", "load_config",
+        "parse_config", "run_experiment",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name):
+    """Import a submodule, or the module of a public name, on first use
+    (PEP 562); the value is then cached in the package namespace."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

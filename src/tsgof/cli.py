@@ -8,17 +8,28 @@ or feasibility error, 2 I/O or configuration error, 1 on SIGINT (kind
 Error messages are single JSON objects on stderr. Output files are
 written atomically (temp-and-rename), so a non-zero exit never leaves a
 partial primary output behind. Experiment subcommands take their output
-directory from --out and their worker count from --workers (default 1); a
-whole config is checked before any task runs, and each task writes its
-own cell file under <out>/.cells as it finishes, so an interrupted run
-resumes.
+directory from --out and their worker count from --workers (default 1; a
+count below 1 is a configuration error); a whole config is checked before
+any task runs, and each task writes its own cell file under <out>/.cells
+as it finishes, so an interrupted run resumes.
+
+Importing this module in a process that has not loaded numpy yet sets
+OPENBLAS_NUM_THREADS=1 unless it is already set, so the OpenBLAS builds
+bundled with numpy and scipy run single-threaded (pool workers inherit
+it); a process that already loaded numpy keeps its environment.
 """
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
+
+# BLAS calls here are on matrices with a side of m (at most 10 in the paper's
+# settings): threads gain nothing, and an OpenBLAS pool spins in every process
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -190,6 +201,8 @@ _KIND_BY_COMMAND = {
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config)
     allowed = _KIND_BY_COMMAND[args.command]
     if config.kind not in allowed:

@@ -56,6 +56,7 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
 import signal
 import tempfile
@@ -531,15 +532,20 @@ def _regression_rows(config: ExperimentConfig, columns: dict) -> list:
 def deterministic_map(fn, items, workers: int = 1) -> list:
     """Order-preserving map, optionally across processes; results do not
     depend on the worker count. SIGINT ends a worker at once, without a
-    traceback; on KeyboardInterrupt in this process the queued tasks are
-    cancelled, not run, before it propagates."""
+    traceback; on KeyboardInterrupt in this process the workers this call
+    started are terminated (a SIGINT sent to this process alone does not
+    reach them) and the queued tasks cancelled, not run, before it
+    propagates. Other child processes of the caller are left alone."""
     if workers <= 1:
         return list(map(fn, items))
     reset_sigint = (signal.SIGINT, signal.SIG_DFL)
+    others = set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=reset_sigint) as pool:
         try:
             return list(pool.map(fn, items))
         except KeyboardInterrupt:
+            for worker in set(multiprocessing.active_children()) - others:
+                worker.terminate()
             pool.shutdown(cancel_futures=True)
             raise
 

@@ -39,6 +39,15 @@ def results(root):
     return {path: data for path, data in tree_bytes(root).items() if path.parts[0] != ".cells"}
 
 
+def group_alive(proc):
+    """Whether any process is left in the process group that proc leads."""
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def kill_group(proc):
     """SIGKILL the process group that proc leads and wait until none of it is left."""
     try:
@@ -47,11 +56,7 @@ def kill_group(proc):
         pass
     proc.wait(timeout=10)
     deadline = time.monotonic() + 10
-    while True:
-        try:
-            os.killpg(proc.pid, 0)
-        except ProcessLookupError:
-            return
+    while group_alive(proc):
         assert time.monotonic() < deadline, "pool workers outlived SIGKILL"
         time.sleep(0.01)
 
@@ -365,9 +370,13 @@ class TestExperimentCommands:
         assert run_cli(clean, capsys)[0] == 0
         assert results(run) == results(tmp_path / "clean")
 
-    def test_interrupted_run_exits_1_and_resumes(self, capsys, tmp_path):
-        # SIGINT to the whole process group, as Ctrl-C sends it, while the
-        # N = 8000 task runs and after the three small cells are written
+    @staticmethod
+    def interrupt_run(tmp_path, send_sigint):
+        """Start `critical-values --workers 2` on one N = 8000 task and three
+        small ones in its own session, call send_sigint(proc) while the large
+        task runs and after the three small cells are written, and return
+        (proc, stderr, whether any process of the run outlived the parent by
+        a second, run dir, cells dir, CLI args without the run dir)."""
         cfg = tmp_path / "cv.cfg"
         cfg.write_text(TINY_CONFIG.replace("N = 60", "N = 8000 60 80 100"))
         run = tmp_path / "run"
@@ -386,16 +395,41 @@ class TestExperimentCommands:
                 if all(path.exists() for path in small):
                     break
                 time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGINT)
+            send_sigint(proc)
             _, err = proc.communicate(timeout=30)
+            deadline = time.monotonic() + 1
+            while (left := group_alive(proc)) and time.monotonic() < deadline:
+                time.sleep(0.01)
         finally:
             kill_group(proc)
+        return proc, err, left, run, cells, args
+
+    def test_interrupted_run_exits_1_and_resumes(self, capsys, tmp_path):
+        # SIGINT to the whole process group, as Ctrl-C sends it
+        proc, err, _, run, _, args = self.interrupt_run(
+            tmp_path, lambda proc: os.killpg(proc.pid, signal.SIGINT))
         assert proc.returncode == 1
         (line,) = err.decode().splitlines()
         assert json.loads(line)["kind"] == "interrupted"
         assert [path.name for path in run.iterdir()] == [".cells"]  # no CSV, no manifest
         assert run_cli(args + [str(run)], capsys)[0] == 0
-        clean = ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "clean")]
+        clean = args[:-3] + ["--out", str(tmp_path / "clean")]
+        assert run_cli(clean, capsys)[0] == 0
+        assert tree_bytes(run) == tree_bytes(tmp_path / "clean")
+
+    def test_sigint_to_parent_alone_stops_the_run(self, capsys, tmp_path):
+        # `kill -INT <pid>` reaches the parent only, not its pool workers;
+        # the large task must still be stopped, not run to its end
+        proc, err, left, run, cells, args = self.interrupt_run(
+            tmp_path, lambda proc: proc.send_signal(signal.SIGINT))
+        assert proc.returncode == 1
+        (line,) = err.decode().splitlines()
+        assert json.loads(line)["kind"] == "interrupted"
+        assert [path.name for path in run.iterdir()] == [".cells"]  # no CSV, no manifest
+        assert not left, "a pool worker outlived the parent"
+        assert len(list(cells.glob("task-*.json"))) < 4, "the large task ran to its end"
+        assert run_cli(args + [str(run)], capsys)[0] == 0
+        clean = args[:-3] + ["--out", str(tmp_path / "clean")]
         assert run_cli(clean, capsys)[0] == 0
         assert tree_bytes(run) == tree_bytes(tmp_path / "clean")
 
@@ -406,6 +440,22 @@ class TestExperimentCommands:
             ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
         assert code == 2
         assert "what" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, tmp_path, workers):
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            ["critical-values", "--config", str(cfg), "--out", str(out_dir), "--workers", workers],
+            capsys)
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["kind"] == "config"
+        assert error["error"] == f"--workers must be at least 1, got {workers}"
+        assert not out_dir.exists()  # refused before any task ran
 
     def test_engine_key_is_unknown_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "engine.cfg"
@@ -492,6 +542,77 @@ class TestExperimentCommands:
         assert code == 0
         assert "invalid cell file" in caplog.text
         assert tree_bytes(run) == tree_bytes(clean)
+
+
+# the package's public names before its import became lazy
+PUBLIC_NAMES = [
+    "ConfigError", "ConsistencyReport", "CriticalValueRow", "CriticalValueTable",
+    "DegenerateSampleError", "DomainError", "EntropyEstimate", "ExperimentConfig", "GGParams",
+    "GridBlock", "InfeasibleModelError", "NotPositiveDefiniteError", "QGaussianParams",
+    "RegressionFit", "RngStream", "ShapiroResult", "SymPDMatrix", "TestResult",
+    "as_sample_matrix", "check_consistency_conditions", "cholesky", "distributions",
+    "draw_gamma", "empirical_quantile", "entropy", "errors", "gg_covariance", "gg_log_pdf",
+    "gg_norm_const", "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale",
+    "gof", "gof_statistic", "harness", "knn", "knn_bias_constant", "knn_distances",
+    "knn_distances_bruteforce", "linalg", "load_config", "log_det", "log_gamma",
+    "mahalanobis_sq", "mathcore", "null_max_entropy", "ols_slope_with_offset", "parse_config",
+    "qgauss_covariance", "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const",
+    "qgauss_q_integral", "qgauss_sample", "qgauss_shape_from_covariance",
+    "qgauss_tsallis_entropy", "run_experiment", "run_test", "sample_mean_cov", "shapiro_wilk",
+    "statkit", "tsallis_entropy_uniform", "tsallis_knn_estimate", "unit_ball_volume",
+]
+SUBMODULES = ["distributions", "entropy", "errors", "gof", "harness", "knn", "linalg",
+              "mathcore", "statkit"]
+
+
+def fresh_python(code, openblas_threads=None):
+    """The stdout of code run in a fresh interpreter that imports tsgof from
+    SRC, with OPENBLAS_NUM_THREADS set to openblas_threads or, if None, unset."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+def numpy_bundles_openblas():
+    try:
+        return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
+        return False
+
+
+class TestLazyPackage:
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        code = "import sys, tsgof; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        assert fresh_python(code) == "[]"
+
+    def test_star_import_binds_the_public_names(self):
+        code = "ns = {}; exec('from tsgof import *', ns); print(sorted(ns))"
+        assert fresh_python(code) == str(sorted(PUBLIC_NAMES + ["__builtins__"]))
+
+    def test_submodules_resolve_after_plain_import(self):
+        code = f"import tsgof; print([getattr(tsgof, name).__name__ for name in {SUBMODULES}])"
+        assert fresh_python(code) == str([f"tsgof.{name}" for name in SUBMODULES])
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_cli_import_starts_no_blas_threads(self):
+        code = "import os, tsgof.cli; print(len(os.listdir('/proc/self/task')))"
+        assert fresh_python(code) == "1"
+        if len(os.sched_getaffinity(0)) < 2 or not numpy_bundles_openblas():
+            pytest.skip("OpenBLAS starts no pool on one CPU, and other BLAS builds differ")
+        assert int(fresh_python(code, openblas_threads="2")) > 1  # the caller's value wins
+
+    def test_cli_import_after_numpy_leaves_environment(self):
+        code = (
+            "import os, numpy; before = dict(os.environ); import tsgof.cli; "
+            "print(dict(os.environ) == before)"
+        )
+        assert fresh_python(code) == "True"
 
 
 class TestEntryPoint:
