@@ -26,8 +26,7 @@ _EXPORTS = {
         "GGParams", "QGaussianParams", "gg_covariance", "gg_log_pdf", "gg_norm_const",
         "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale",
         "qgauss_covariance", "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const",
-        "qgauss_q_integral", "qgauss_sample", "qgauss_shape_from_covariance",
-        "qgauss_tsallis_entropy", "tsallis_entropy_uniform",
+        "qgauss_q_integral", "qgauss_sample", "qgauss_tsallis_entropy", "tsallis_entropy_uniform",
     ),
     "knn": ("knn_distances", "knn_distances_bruteforce"),
     "entropy": (
@@ -38,7 +37,7 @@ _EXPORTS = {
         "RegressionFit", "ShapiroResult", "empirical_quantile", "ols_slope_with_offset",
         "shapiro_wilk",
     ),
-    "gof": ("TestResult", "gof_statistic", "null_max_entropy", "run_test"),
+    "gof": ("TestResult", "gof_statistic", "run_test"),
     "harness": (
         "CriticalValueRow", "CriticalValueTable", "ExperimentConfig", "GridBlock", "load_config",
         "parse_config", "run_experiment",

@@ -316,11 +316,6 @@ def qgauss_covariance(params: QGaussianParams) -> SymPDMatrix:
     return params.sigma.scaled(qgauss_covariance_factor(params.m, params.q))
 
 
-def qgauss_shape_from_covariance(cov: SymPDMatrix, m: int, q: float) -> SymPDMatrix:
-    """Invert the covariance/shape bridge: the Sigma whose member has covariance cov."""
-    return cov.scaled(1.0 / qgauss_covariance_factor(m, q))
-
-
 def qgauss_sample(params: QGaussianParams, n: int, rng: RngStream) -> np.ndarray:
     """Exact draws via the elliptical radial representations.
 

@@ -10,8 +10,9 @@ h_hat = (1 - i_hat)/(q - 1). C(k, q) is the Gamma-ratio bias constant and
 V_m the unit-ball volume. The per-point terms are evaluated in log space,
 which keeps tiny neighbor distances from underflowing rho^m, and summed
 with exact rounding (`mathcore.exact_sums`), so the estimate does not
-depend on point order. `lps_sums` evaluates many rows of distances, say
-every k of a block of replicates, with one exact_sums call.
+depend on point order. `lps_block`, the one evaluation path, maps a
+stack of samples to i_hat at several k with one exact_sums call;
+`tsallis_knn_estimate` and the test statistic both go through it.
 """
 
 import math
@@ -62,47 +63,42 @@ def knn_bias_constant(k: int, q: float) -> float:
     return math.exp((log_gamma(k) - log_gamma(k + 1.0 - q)) / (1.0 - q))
 
 
-def lps_log_scale(n: int, k: int, q: float, m: int) -> float:
-    """log[(N-1) C(k, q) V_m], the constant factor of every term of the sum."""
-    return math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
+def lps_block(n: int, m: int, ks: tuple, q: float):
+    """A function from a (B, n, m) stack of samples to their (B, len(ks))
+    matrix of i_hat, at every k of ks.
 
-
-def require_positive_distances(rho, q: float) -> None:
-    """For q > 1 a zero distance (a duplicate point) makes the estimate
-    infinite: raise DegenerateSampleError."""
-    if q > 1 and np.min(rho) == 0.0:
-        raise DegenerateSampleError(
-            "duplicate points give zero neighbor distances, undefined for q > 1 "
-            "(remove or perturb the duplicates, or use q < 1)"
-        )
-
-
-def lps_sums(rho, log_scale, q: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """i_hat and h_hat of each row of rho, a (rows, N) array of k-th neighbor
-    distances of N points in R^m; log_scale[r] is lps_log_scale at row r's
-    k. Every row's sum is exactly rounded, through one exact_sums call.
+    The constant factor log[(N-1) C(k, q) V_m] of each k's terms is formed
+    here, once. Per sample come one neighbor query at max(ks), whose column
+    k-1 gives each k its distances, and the duplicate check: for q > 1 a
+    zero distance makes the estimate infinite and raises
+    DegenerateSampleError. One exact_sums call then sums the terms of every
+    k of every sample. The ks must be integers with n > k.
     """
-    with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
-        powers = np.exp((1.0 - q) * (log_scale[:, None] + m * np.log(rho)))
-    i_hat = exact_sums(powers) / rho.shape[1]
-    return i_hat, (1.0 - i_hat) / (q - 1.0)
+    columns = [k - 1 for k in ks]
+    log_scales = np.array(
+        [math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
+         for k in ks]
+    )
 
+    def evaluate(samples: np.ndarray) -> np.ndarray:
+        rho = np.empty((samples.shape[0], len(ks), n))
+        for j, sample in enumerate(samples):
+            rho[j] = knn_distances(sample, max(ks)).T[columns]
+            if q > 1 and np.min(rho[j]) == 0.0:
+                raise DegenerateSampleError(
+                    "duplicate points give zero neighbor distances, undefined for q > 1 "
+                    "(remove or perturb the duplicates, or use q < 1)"
+                )
+        with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
+            powers = np.exp((1.0 - q) * (log_scales[:, None] + m * np.log(rho)))
+        return exact_sums(powers.reshape(-1, n)).reshape(rho.shape[:2]) / n
 
-def lps_estimate(rho, k: int, q: float, m: int) -> EntropyEstimate:
-    """The estimate from rho, the k-th neighbor distances of N points in R^m.
-
-    For q > 1 a zero distance (a duplicate point) makes the estimate
-    infinite and raises DegenerateSampleError.
-    """
-    n = rho.shape[0]
-    require_positive_distances(rho, q)
-    i_hat, h_hat = lps_sums(rho[None], np.array([lps_log_scale(n, k, q, m)]), q, m)
-    return EntropyEstimate(i_hat=float(i_hat[0]), h_hat=float(h_hat[0]), q=q, k=int(k), n=n, m=m)
+    return evaluate
 
 
 def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:
-    """Estimate integral(f^q) and the Tsallis entropy from a sample, with
-    the kd-tree neighbor query of `knn_distances`.
+    """Estimate integral(f^q) and the Tsallis entropy from a sample, as a
+    block of one through `lps_block`.
 
     Duplicate points produce zero neighbor distances; for q > 1 those make
     the estimate infinite, so they raise DegenerateSampleError.
@@ -112,7 +108,9 @@ def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:
     if not (n > k):
         raise DomainError(f"need N > k, got N={n}, k={k}")
     knn_bias_constant(k, q)  # validates k and q before the query
-    return lps_estimate(knn_distances(a, k)[:, -1], k, q, m)
+    i_hat = float(lps_block(n, m, (int(k),), q)(a[None])[0, 0])
+    h_hat = float((1.0 - i_hat) / (q - 1.0))
+    return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
 
 
 def check_consistency_conditions(

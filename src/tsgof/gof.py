@@ -20,9 +20,10 @@ feasibility rule for both.
 
 The observed Q and every null replicate go through one block function,
 which forms a point's constants once and evaluates a stack of samples
-with vectorized, exactly rounded sums (`mathcore.exact_sums`); its
-results equal, bit for bit, those of forming each sample's covariance,
-null entropy and estimate alone with math.fsum.
+with vectorized, exactly rounded sums (`mathcore.exact_sums`); h_hat
+comes from `entropy.lps_block`, the one estimator path. Its results
+equal, bit for bit, those of forming each sample's covariance, null
+entropy and estimate alone with math.fsum.
 """
 
 from dataclasses import dataclass, replace
@@ -34,14 +35,11 @@ from .distributions import (
     QGaussianParams,
     qgauss_covariance_factor,
     qgauss_entropy_of_log_det,
-    qgauss_shape_from_covariance,
-    qgauss_tsallis_entropy,
     qgauss_sample,
 )
-from .entropy import knn_bias_constant, lps_log_scale, lps_sums, require_positive_distances
-from .knn import knn_distances
+from .entropy import knn_bias_constant, lps_block
 from .errors import ConfigError, DomainError, InfeasibleModelError
-from .linalg import SymPDMatrix, as_sample_matrix, log_det, sample_moments
+from .linalg import as_sample_matrix, log_det, sample_moments
 from .mathcore import RngStream
 from .statkit import empirical_quantile
 
@@ -109,18 +107,6 @@ def require_feasible(
         raise InfeasibleModelError(reason)
 
 
-def null_max_entropy(sample_cov: SymPDMatrix, m: int, q: float, family: str) -> float:
-    """Tsallis entropy of the null family member whose covariance equals
-    sample_cov (via the covariance/shape bridge), in closed form."""
-    require_feasible(family, q, m)
-    if not isinstance(sample_cov, SymPDMatrix):
-        sample_cov = SymPDMatrix(sample_cov)
-    if sample_cov.dim != m:
-        raise DomainError(f"covariance is {sample_cov.dim}x{sample_cov.dim}, expected m={m}")
-    shape = qgauss_shape_from_covariance(sample_cov, m, q)
-    return qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=shape))
-
-
 def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> tuple:
     """The ks as ints, once each is a positive integer the feasibility rule
     accepts at (q, m, N), with the covariance bridge if statistic."""
@@ -130,39 +116,28 @@ def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> t
     return tuple(int(k) for k in ks)
 
 
-def _block_kernel(n: int, m: int, ks: tuple, q: float, family: str, statistic: bool):
+def _block_kernel(n: int, m: int, ks: tuple, q: float, statistic: bool):
     """A function from a (B, n, m) stack of samples to their (B, len(ks))
     matrix of Q (with statistic) or h_hat, at every k of ks.
 
-    The point's constants (bias constants, ball volume, sphere area, radial
-    Beta logs, covariance factor) are formed here, once. Per block, all
-    means take one exact_sums call, all covariance entries one more and
-    all estimator sums a third. Per sample, in order, come the Cholesky
-    log-det of the null shape matrix, one neighbor query at max(ks), whose
-    column k-1 gives each k its distances, and the duplicate check. So a
-    rank-deficient sample raises NotPositiveDefiniteError even if it also
-    has duplicates. The ks must have passed _checked_ks.
+    The estimate comes from `entropy.lps_block`. With statistic, the
+    covariance factor and the null entropy's constants are formed here,
+    once; per block, all means take one exact_sums call and all covariance
+    entries one more, and the Cholesky log-det of every sample's null shape
+    matrix comes before the neighbor queries. So a rank-deficient sample
+    raises NotPositiveDefiniteError even if it also has duplicates. The ks
+    must have passed _checked_ks.
     """
-    columns = [k - 1 for k in ks]
-    log_scales = np.array([lps_log_scale(n, k, q, m) for k in ks])
-    if statistic:
-        shape_scale = 1.0 / qgauss_covariance_factor(m, q)
-        null_entropy = qgauss_entropy_of_log_det(m, q)
+    i_hat = lps_block(n, m, ks, q)
+    if not statistic:
+        return lambda samples: (1.0 - i_hat(samples)) / (q - 1.0)
+    shape_scale = 1.0 / qgauss_covariance_factor(m, q)
+    null_entropy = qgauss_entropy_of_log_det(m, q)
 
     def evaluate(samples: np.ndarray) -> np.ndarray:
-        count = samples.shape[0]
-        if statistic:
-            shapes = sample_moments(samples)[1] * shape_scale
-            upper = np.empty(count)
-        rho = np.empty((count, len(ks), n))
-        for j, sample in enumerate(samples):
-            if statistic:
-                upper[j] = null_entropy(log_det(shapes[j]))
-            rho[j] = knn_distances(sample, max(ks)).T[columns]
-            require_positive_distances(rho[j], q)
-        h_hat = lps_sums(rho.reshape(-1, n), np.tile(log_scales, count), q, m)[1]
-        h_hat = h_hat.reshape(count, len(ks))
-        return upper[:, None] - h_hat if statistic else h_hat
+        shapes = sample_moments(samples)[1] * shape_scale
+        upper = np.array([null_entropy(log_det(shape)) for shape in shapes])
+        return upper[:, None] - (1.0 - i_hat(samples)) / (q - 1.0)
 
     return evaluate
 
@@ -177,7 +152,7 @@ def gof_statistic(x, k: int, q: float, family: str) -> TestResult:
     a = as_sample_matrix(x)
     n, m = a.shape
     ks = _checked_ks((k,), q, m, n, family, True)
-    statistic = float(_block_kernel(n, m, ks, q, family, True)(a[None])[0, 0])
+    statistic = float(_block_kernel(n, m, ks, q, True)(a[None])[0, 0])
     return TestResult(statistic=statistic, family=family, q=q, k=ks[0], n=n, m=m)
 
 
@@ -242,7 +217,7 @@ def null_replicates(
     """
     ks = _checked_ks(ks, q, m, n, family, statistic)
     params = QGaussianParams(m=m, q=q)
-    evaluate = _block_kernel(n, m, ks, q, family, statistic)
+    evaluate = _block_kernel(n, m, ks, q, statistic)
     streams = iter(streams)
     blocks = []
     while chunk := list(islice(streams, max(1, _BLOCK_VALUES // n))):

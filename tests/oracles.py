@@ -5,6 +5,12 @@ quadrature, without touching the closed-form q-integral formulas under
 test. The density route itself is pinned by the normalization checks
 (integral of exp(log_pdf) must be 1), so together the two checks validate
 both the normalization constants and the q-integral algebra.
+
+The per-sample references at the end restate the test statistic one
+sample at a time, apart from the block evaluation the package uses: the
+null entropy through the covariance/shape bridge and the closed form of
+a QGaussianParams, and the estimator from brute-force neighbor distances
+summed with math.fsum.
 """
 
 import math
@@ -16,8 +22,16 @@ from tsgof.distributions import (
     GGParams,
     QGaussianParams,
     gg_log_pdf,
+    qgauss_covariance_factor,
     qgauss_log_pdf,
+    qgauss_tsallis_entropy,
 )
+from tsgof.entropy import knn_bias_constant
+from tsgof.errors import DomainError
+from tsgof.gof import require_feasible
+from tsgof.knn import knn_distances_bruteforce
+from tsgof.linalg import SymPDMatrix
+from tsgof.mathcore import unit_ball_volume
 
 
 def _integrate_1d(f, radius):
@@ -117,3 +131,36 @@ def radial_cdf_from_log_pdf(params: QGaussianParams, radii: np.ndarray) -> np.nd
     out = np.empty_like(radii)
     out[order] = np.clip(cdf_sorted, 0.0, 1.0)
     return out
+
+
+def qgauss_shape_from_covariance(cov: SymPDMatrix, m: int, q: float) -> SymPDMatrix:
+    """Invert the covariance/shape bridge: the Sigma whose member has covariance cov."""
+    return cov.scaled(1.0 / qgauss_covariance_factor(m, q))
+
+
+def null_max_entropy(sample_cov, m: int, q: float, family: str) -> float:
+    """Tsallis entropy of the null family member whose covariance equals
+    sample_cov (via the covariance/shape bridge), in closed form."""
+    require_feasible(family, q, m)
+    if not isinstance(sample_cov, SymPDMatrix):
+        sample_cov = SymPDMatrix(sample_cov)
+    if sample_cov.dim != m:
+        raise DomainError(f"covariance is {sample_cov.dim}x{sample_cov.dim}, expected m={m}")
+    shape = qgauss_shape_from_covariance(sample_cov, m, q)
+    return qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=shape))
+
+
+def lps_estimate_reference(x, k: int, q: float) -> tuple[float, float]:
+    """(i_hat, h_hat) of one sample, term by term: the brute-force k-th
+    neighbor distances, each term (N-1) C(k, q) V_m rho^m raised to 1 - q
+    in log space with np.log and np.exp over the whole array, as the
+    package evaluates them (math.exp gives other bits than numpy's SIMD
+    exp on some hosts), then math.fsum. No duplicate check."""
+    x = np.asarray(x, dtype=float)
+    n, m = x.shape
+    rho = knn_distances_bruteforce(x, k)[:, k - 1]
+    log_scale = math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
+    with np.errstate(divide="ignore"):
+        powers = np.exp((1.0 - q) * (log_scale + m * np.log(rho)))
+    i_hat = math.fsum(powers) / n
+    return i_hat, (1.0 - i_hat) / (q - 1.0)

@@ -544,22 +544,23 @@ class TestExperimentCommands:
         assert tree_bytes(run) == tree_bytes(clean)
 
 
-# the package's public names before its import became lazy
+# the package's public names: those before its import became lazy, less
+# null_max_entropy and qgauss_shape_from_covariance, which moved to the test oracles
 PUBLIC_NAMES = [
     "ConfigError", "ConsistencyReport", "CriticalValueRow", "CriticalValueTable",
     "DegenerateSampleError", "DomainError", "EntropyEstimate", "ExperimentConfig", "GGParams",
     "GridBlock", "InfeasibleModelError", "NotPositiveDefiniteError", "QGaussianParams",
-    "RegressionFit", "RngStream", "ShapiroResult", "SymPDMatrix", "TestResult",
-    "as_sample_matrix", "check_consistency_conditions", "cholesky", "distributions",
-    "draw_gamma", "empirical_quantile", "entropy", "errors", "gg_covariance", "gg_log_pdf",
-    "gg_norm_const", "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale",
-    "gof", "gof_statistic", "harness", "knn", "knn_bias_constant", "knn_distances",
-    "knn_distances_bruteforce", "linalg", "load_config", "log_det", "log_gamma",
-    "mahalanobis_sq", "mathcore", "null_max_entropy", "ols_slope_with_offset", "parse_config",
-    "qgauss_covariance", "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const",
-    "qgauss_q_integral", "qgauss_sample", "qgauss_shape_from_covariance",
-    "qgauss_tsallis_entropy", "run_experiment", "run_test", "sample_mean_cov", "shapiro_wilk",
-    "statkit", "tsallis_entropy_uniform", "tsallis_knn_estimate", "unit_ball_volume",
+    "RegressionFit", "RngStream", "ShapiroResult", "SymPDMatrix", "TestResult", "as_sample_matrix",
+    "check_consistency_conditions", "cholesky", "distributions", "draw_gamma",
+    "empirical_quantile", "entropy", "errors", "gg_covariance", "gg_log_pdf", "gg_norm_const",
+    "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale", "gof",
+    "gof_statistic", "harness", "knn", "knn_bias_constant", "knn_distances",
+    "knn_distances_bruteforce", "linalg", "load_config", "log_det", "log_gamma", "mahalanobis_sq",
+    "mathcore", "ols_slope_with_offset", "parse_config", "qgauss_covariance",
+    "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const", "qgauss_q_integral",
+    "qgauss_sample", "qgauss_tsallis_entropy", "run_experiment", "run_test", "sample_mean_cov",
+    "shapiro_wilk", "statkit", "tsallis_entropy_uniform", "tsallis_knn_estimate",
+    "unit_ball_volume",
 ]
 SUBMODULES = ["distributions", "entropy", "errors", "gof", "harness", "knn", "linalg",
               "mathcore", "statkit"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import lps_estimate_reference, null_max_entropy
 from tsgof.errors import (
     ConfigError,
     DegenerateSampleError,
@@ -12,12 +13,10 @@ from tsgof.errors import (
 )
 from tsgof.distributions import QGaussianParams, qgauss_sample
 from tsgof import gof
-from tsgof.entropy import tsallis_knn_estimate
 from tsgof.gof import (
     TestResult,
     gof_statistic,
     infeasibility_reason,
-    null_max_entropy,
     null_replicates,
     require_feasible,
     run_test,
@@ -221,14 +220,14 @@ class TestNullReplicates:
             assert shared[:, j].tobytes() == alone[:, 0].tobytes()
 
     def test_entries_equal_per_draw_statistic_and_estimate(self):
-        # and the block's inlined null entropy equals null_max_entropy's
+        # against the per-sample oracles, apart from the block path under test
         stats = self.replicates((1, 3))
         estimates = self.replicates((1, 3), statistic=False)
         for r in range(12):
             draw = null_draws(80, 3, r)
             upper = null_max_entropy(sample_mean_cov(draw)[1], 2, 1.2, "t1")
             for j, k in enumerate((1, 3)):
-                h_hat = tsallis_knn_estimate(draw, k, 1.2).h_hat
+                h_hat = lps_estimate_reference(draw, k, 1.2)[1]
                 assert stats[r, j] == gof_statistic(draw, k, 1.2, "t1").statistic
                 assert stats[r, j] == upper - h_hat
                 assert estimates[r, j] == h_hat
