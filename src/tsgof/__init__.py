@@ -18,10 +18,7 @@ _EXPORTS = {
         "NotPositiveDefiniteError",
     ),
     "mathcore": ("RngStream", "draw_gamma", "log_gamma", "unit_ball_volume"),
-    "linalg": (
-        "SymPDMatrix", "as_sample_matrix", "cholesky", "log_det", "mahalanobis_sq",
-        "sample_mean_cov",
-    ),
+    "linalg": ("SymPDMatrix", "as_sample_matrix", "cholesky", "log_det", "mahalanobis_sq"),
     "distributions": (
         "GGParams", "QGaussianParams", "gg_covariance", "gg_log_pdf", "gg_norm_const",
         "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale",

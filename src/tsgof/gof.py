@@ -123,10 +123,10 @@ def _block_kernel(n: int, m: int, ks: tuple, q: float, statistic: bool):
     The estimate comes from `entropy.lps_block`. With statistic, the
     covariance factor and the null entropy's constants are formed here,
     once; per block, all means take one exact_sums call and all covariance
-    entries one more, and the Cholesky log-det of every sample's null shape
-    matrix comes before the neighbor queries. So a rank-deficient sample
-    raises NotPositiveDefiniteError even if it also has duplicates. The ks
-    must have passed _checked_ks.
+    entries one more, and one stacked Cholesky log-det of the samples' null
+    shape matrices comes before the neighbor queries. So a rank-deficient
+    sample raises NotPositiveDefiniteError even if it also has duplicates.
+    The ks must have passed _checked_ks.
     """
     i_hat = lps_block(n, m, ks, q)
     if not statistic:
@@ -135,8 +135,8 @@ def _block_kernel(n: int, m: int, ks: tuple, q: float, statistic: bool):
     null_entropy = qgauss_entropy_of_log_det(m, q)
 
     def evaluate(samples: np.ndarray) -> np.ndarray:
-        shapes = sample_moments(samples)[1] * shape_scale
-        upper = np.array([null_entropy(log_det(shape)) for shape in shapes])
+        log_dets = log_det(sample_moments(samples)[1] * shape_scale)
+        upper = np.array([null_entropy(value) for value in log_dets.tolist()])
         return upper[:, None] - (1.0 - i_hat(samples)) / (q - 1.0)
 
     return evaluate

@@ -535,7 +535,9 @@ def deterministic_map(fn, items, workers: int = 1) -> list:
     traceback; on KeyboardInterrupt in this process the workers this call
     started are terminated (a SIGINT sent to this process alone does not
     reach them) and the queued tasks cancelled, not run, before it
-    propagates. Other child processes of the caller are left alone."""
+    propagates. Other child processes of the caller are left alone. At
+    most one worker per item is started, and none for a single item."""
+    workers = min(workers, len(items))
     if workers <= 1:
         return list(map(fn, items))
     reset_sigint = (signal.SIGINT, signal.SIG_DFL)
@@ -633,6 +635,9 @@ def _write_atomic(path: Path, text: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # what open() gives; mkstemp makes 0o600
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -3,14 +3,14 @@ Mahalanobis forms, and sample moments.
 
 Matrices here are tiny (dimension ~10 at most), so the Cholesky is the
 classic unpivoted algorithm with an explicit pivot threshold; that keeps
-full control over the failure diagnostics. Sample means and covariances
-accumulate with exactly rounded summation (`mathcore.exact_sums`, the bits
-of math.fsum), which makes them invariant to row permutation bit-for-bit.
-`sample_moments` forms them for a whole stack of samples at once, with one
-exact_sums call for the means and one for the covariance entries.
+full control over the failure diagnostics. It factors one matrix or a
+whole (..., m, m) stack, each matrix with the bits it has alone. Sample
+means and covariances accumulate with exactly rounded summation
+(`mathcore.exact_sums`, the bits of math.fsum), which makes them
+invariant to row permutation bit-for-bit. `sample_moments` forms them for
+a whole stack of samples at once, with one exact_sums call for the means
+and one for the covariance entries.
 """
-
-import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,7 +24,7 @@ _PIVOT_RTOL = 1e-12
 
 def _as_square(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
@@ -32,53 +32,36 @@ def _as_square(entries) -> np.ndarray:
 
 
 class SymPDMatrix:
-    """A symmetric matrix expected to be positive definite.
+    """A symmetric positive definite matrix, with its Cholesky factor and
+    log-determinant formed once, at construction.
 
-    Symmetry is checked at construction (relative tolerance 1e-12).
-    Positive definiteness is only established when a Cholesky-backed
-    quantity is first requested, so rank-deficient sample covariances can
-    be carried around and are flagged exactly where a factor is needed.
+    Symmetry is checked with relative tolerance 1e-12; a matrix that is not
+    positive definite raises NotPositiveDefiniteError. The entries and the
+    factor are read-only arrays.
     """
 
-    __slots__ = ("_entries", "_chol", "_log_det")
+    __slots__ = ("entries", "cholesky_factor", "log_det")
 
     def __init__(self, entries):
         a = _as_square(entries)
+        if a.ndim != 2:
+            raise DomainError(f"expected a square matrix, got shape {a.shape}")
         scale = float(np.max(np.abs(a))) or 1.0
         if float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
             raise DomainError("matrix is not symmetric within 1e-12 relative tolerance")
-        a = a.copy()
-        a.setflags(write=False)
-        self._entries = a
-        self._chol = None
-        self._log_det = None
+        self.entries, self.cholesky_factor = a.copy(), cholesky(a)
+        self.entries.setflags(write=False)
+        self.cholesky_factor.setflags(write=False)
+        self.log_det = float(_factor_log_det(self.cholesky_factor))
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def cholesky_factor(self) -> np.ndarray:
-        if self._chol is None:
-            self._chol = cholesky(self._entries)
-            self._chol.setflags(write=False)
-        return self._chol
-
-    @property
-    def log_det(self) -> float:
-        if self._log_det is None:
-            diag = np.diagonal(self.cholesky_factor)
-            self._log_det = 2.0 * float(np.sum(np.log(diag)))
-        return self._log_det
+        return self.entries.shape[0]
 
     def scaled(self, factor: float) -> "SymPDMatrix":
         if not (factor > 0):
             raise DomainError("scale factor must be positive")
-        return SymPDMatrix(self._entries * factor)
+        return SymPDMatrix(self.entries * factor)
 
     @classmethod
     def identity(cls, m: int) -> "SymPDMatrix":
@@ -87,37 +70,42 @@ class SymPDMatrix:
         return cls(np.eye(int(m)))
 
     def __repr__(self):
-        return f"SymPDMatrix({self._entries.tolist()!r})"
+        return f"SymPDMatrix({self.entries.tolist()!r})"
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == a, unpivoted.
+    """Lower-triangular L with L @ L.T == a, unpivoted, for one matrix or
+    for each matrix of a (..., m, m) stack.
 
-    A pivot at or below 1e-12 times the largest diagonal entry is treated
-    as non-positive-definite; the raised error names the failing index.
+    A pivot at or below 1e-12 times its matrix's largest diagonal entry is
+    treated as non-positive-definite; the raised error names the failing
+    index, the smallest one in the stack. Each inner product is a
+    (1, j) @ (j, 1) matmul, which numpy evaluates with the same dot as for
+    one matrix, so every factor has the bits it has alone.
     """
-    if isinstance(a, SymPDMatrix):
-        a = a.entries
     a = _as_square(a)
-    m = a.shape[0]
-    threshold = _PIVOT_RTOL * max(float(np.max(np.diagonal(a))), 0.0)
+    threshold = _PIVOT_RTOL * np.maximum(np.max(np.diagonal(a, 0, -2, -1), axis=-1), 0.0)
     lower = np.zeros_like(a)
-    for j in range(m):
-        pivot = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if pivot <= threshold:
+    for j in range(a.shape[-1]):
+        column = lower[..., j, :j, None]  # row j of L as a (..., j, 1) column
+        pivot = a[..., j, j] - (lower[..., j, None, :j] @ column)[..., 0, 0]
+        if np.any(pivot <= threshold):
             raise NotPositiveDefiniteError(j)
-        lower[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, m):
-            lower[i, j] = (a[i, j] - float(lower[i, :j] @ lower[j, :j])) / lower[j, j]
+        lower[..., j, j] = np.sqrt(pivot)
+        dots = lower[..., j + 1 :, None, :j] @ column[..., None, :, :]  # (..., m-j-1, 1, 1)
+        lower[..., j + 1 :, j] = (a[..., j + 1 :, j] - dots[..., 0, 0]) / lower[..., j, j, None]
     return lower
 
 
-def log_det(a) -> float:
-    """Log-determinant of a positive definite matrix, via its Cholesky factor."""
-    if isinstance(a, SymPDMatrix):
-        return a.log_det
-    diag = np.diagonal(cholesky(a))
-    return 2.0 * float(np.sum(np.log(diag)))
+def _factor_log_det(lower: np.ndarray):
+    return 2.0 * np.sum(np.log(np.diagonal(lower, 0, -2, -1)), axis=-1)
+
+
+def log_det(a):
+    """Log-determinant of a positive definite matrix, via its Cholesky
+    factor: a float, or an array of shape (...) for a (..., m, m) stack."""
+    value = _factor_log_det(cholesky(a))
+    return float(value) if value.ndim == 0 else value
 
 
 def as_sample_matrix(x) -> np.ndarray:
@@ -132,24 +120,14 @@ def as_sample_matrix(x) -> np.ndarray:
     return a
 
 
-def sample_mean_cov(x) -> tuple[np.ndarray, SymPDMatrix]:
-    """Column means and the (N-1)-divisor sample covariance.
-
-    Accumulation uses exactly rounded summation, so the result does not
-    depend on row order. The covariance is returned unchecked for positive
-    definiteness; downstream Cholesky use raises if it is degenerate.
-    """
-    mean, cov = sample_moments(as_sample_matrix(x)[None])
-    return mean[0], SymPDMatrix(cov[0])
-
-
 def sample_moments(samples) -> tuple[np.ndarray, np.ndarray]:
     """Column means (B, m) and (N-1)-divisor covariances (B, m, m) of a
-    (B, N, m) stack of samples, each with the bits sample_mean_cov gives
-    that sample alone: every column sum and every covariance entry is
-    math.fsum's, through one exact_sums call for all means and one for
-    all covariance entries. A non-finite entry raises DomainError as
-    as_sample_matrix does.
+    (B, N, m) stack of samples: every column sum and every covariance
+    entry is math.fsum's, through one exact_sums call for all means and
+    one for all covariance entries, so no result depends on row order or
+    on the other samples of the stack. A non-finite entry raises
+    DomainError as as_sample_matrix does. The covariances are not checked
+    for positive definiteness.
     """
     b, n, m = samples.shape
     as_sample_matrix(samples.reshape(b * n, m))  # its finite check, once for the stack

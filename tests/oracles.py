@@ -8,9 +8,9 @@ both the normalization constants and the q-integral algebra.
 
 The per-sample references at the end restate the test statistic one
 sample at a time, apart from the block evaluation the package uses: the
-null entropy through the covariance/shape bridge and the closed form of
-a QGaussianParams, and the estimator from brute-force neighbor distances
-summed with math.fsum.
+one-matrix Cholesky and its log-determinant, the null entropy through the
+covariance/shape bridge and the closed form of a QGaussianParams, and the
+estimator from brute-force neighbor distances summed with math.fsum.
 """
 
 import math
@@ -27,7 +27,7 @@ from tsgof.distributions import (
     qgauss_tsallis_entropy,
 )
 from tsgof.entropy import knn_bias_constant
-from tsgof.errors import DomainError
+from tsgof.errors import DomainError, NotPositiveDefiniteError
 from tsgof.gof import require_feasible
 from tsgof.knn import knn_distances_bruteforce
 from tsgof.linalg import SymPDMatrix
@@ -131,6 +131,30 @@ def radial_cdf_from_log_pdf(params: QGaussianParams, radii: np.ndarray) -> np.nd
     out = np.empty_like(radii)
     out[order] = np.clip(cdf_sorted, 0.0, 1.0)
     return out
+
+
+def cholesky_reference(a) -> np.ndarray:
+    """The unpivoted Cholesky factor of one matrix, entry by entry: each
+    inner product a 1-D `@`, each diagonal entry math.sqrt of its pivot.
+    A pivot at or below 1e-12 times the largest diagonal entry raises
+    NotPositiveDefiniteError naming its index."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    threshold = 1e-12 * max(float(np.max(np.diagonal(a))), 0.0)
+    lower = np.zeros_like(a)
+    for j in range(m):
+        pivot = a[j, j] - float(lower[j, :j] @ lower[j, :j])
+        if pivot <= threshold:
+            raise NotPositiveDefiniteError(j)
+        lower[j, j] = math.sqrt(pivot)
+        for i in range(j + 1, m):
+            lower[i, j] = (a[i, j] - float(lower[i, :j] @ lower[j, :j])) / lower[j, j]
+    return lower
+
+
+def log_det_reference(a) -> float:
+    """Twice the sum of the logs of cholesky_reference's diagonal."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(cholesky_reference(a)))))
 
 
 def qgauss_shape_from_covariance(cov: SymPDMatrix, m: int, q: float) -> SymPDMatrix:

@@ -545,7 +545,8 @@ class TestExperimentCommands:
 
 
 # the package's public names: those before its import became lazy, less
-# null_max_entropy and qgauss_shape_from_covariance, which moved to the test oracles
+# null_max_entropy and qgauss_shape_from_covariance, which moved to the test
+# oracles, and sample_mean_cov, whose work sample_moments does for a stack
 PUBLIC_NAMES = [
     "ConfigError", "ConsistencyReport", "CriticalValueRow", "CriticalValueTable",
     "DegenerateSampleError", "DomainError", "EntropyEstimate", "ExperimentConfig", "GGParams",
@@ -558,7 +559,7 @@ PUBLIC_NAMES = [
     "knn_distances_bruteforce", "linalg", "load_config", "log_det", "log_gamma", "mahalanobis_sq",
     "mathcore", "ols_slope_with_offset", "parse_config", "qgauss_covariance",
     "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const", "qgauss_q_integral",
-    "qgauss_sample", "qgauss_tsallis_entropy", "run_experiment", "run_test", "sample_mean_cov",
+    "qgauss_sample", "qgauss_tsallis_entropy", "run_experiment", "run_test",
     "shapiro_wilk", "statkit", "tsallis_entropy_uniform", "tsallis_knn_estimate",
     "unit_ball_volume",
 ]
@@ -614,6 +615,26 @@ class TestLazyPackage:
             "print(dict(os.environ) == before)"
         )
         assert fresh_python(code) == "True"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_the_mode_open_gives(tmp_path, umask, mode):
+    # a plain open() creates 0o666 less the umask; a temporary file is 0o600
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(TINY_CONFIG)
+    for args in (
+        ["critical-values", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        ["sample", "--family", "qgauss", "--q", "1.2", "--m", "2", "--n", "5", "--seed", "1",
+         "--out", str(tmp_path / "draws.csv")],
+    ):
+        fresh_python(f"import os; os.umask({umask}); from tsgof.cli import main; main({args!r})")
+    for path in (
+        tmp_path / "run" / "critical_values.csv",
+        tmp_path / "run" / "critical_values_manifest.json",
+        tmp_path / "draws.csv",
+    ):
+        assert oct(path.stat().st_mode & 0o777) == oct(mode), path.name
 
 
 class TestEntryPoint:

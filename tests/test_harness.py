@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,21 @@ class TestCriticalValues:
         ]
         se = float(np.std(boot, ddof=1))
         assert abs(crit_500 - crit_1000) < 2.0 * se
+
+
+class TestDeterministicMap:
+    def test_starts_at_most_one_worker_per_item(self, monkeypatch):
+        started = []
+
+        def pool(workers, **kwargs):
+            started.append(workers)
+            return ProcessPoolExecutor(workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        assert harness.deterministic_map(abs, [-1, 2], workers=4) == [1, 2]
+        assert harness.deterministic_map(abs, [-3], workers=4) == [3]  # in this process
+        assert harness.deterministic_map(abs, [], workers=4) == []
+        assert started == [2]
 
 
 class TestResumability:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cholesky_reference, log_det_reference
 from tsgof.errors import DomainError, NotPositiveDefiniteError
 from tsgof.linalg import (
     SymPDMatrix,
@@ -12,9 +13,28 @@ from tsgof.linalg import (
     cholesky,
     log_det,
     mahalanobis_sq,
-    sample_mean_cov,
+    sample_moments,
 )
 from tsgof.mathcore import RngStream
+
+
+@st.composite
+def spd_stacks(draw):
+    """A (B, m, m) stack of Gram matrices, m 1-5 and B 1-17, columns scaled
+    over several decades, and the indices of up to three of them given a
+    zero row and column, so that their Cholesky fails."""
+    m = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 17))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.standard_normal((b, m + 3, m)) * 10.0 ** gen.integers(-3, 4, size=(b, 1, m))
+    stack = x.transpose(0, 2, 1) @ x
+    stack = stack + stack.transpose(0, 2, 1)  # exactly symmetric
+    deficient = draw(st.lists(st.integers(0, b - 1), max_size=3, unique=True))
+    for index in deficient:
+        r = draw(st.integers(0, m - 1))
+        stack[index, r, :] = 0.0
+        stack[index, :, r] = 0.0
+    return stack, deficient
 
 
 class TestCholesky:
@@ -44,6 +64,43 @@ class TestCholesky:
             lower = cholesky(spd)
             frob = np.linalg.norm(lower @ lower.T - spd) / np.linalg.norm(spd)
             assert frob <= 1e-10
+
+
+class TestStackedCholesky:
+    @settings(deadline=None)
+    @given(spd_stacks())
+    def test_bits_equal_one_matrix_reference(self, case):
+        stack, deficient = case
+        failing = {}
+        for index, a in enumerate(stack):
+            try:
+                cholesky_reference(a)
+            except NotPositiveDefiniteError as alone:
+                failing[index] = alone.pivot_index
+        assert set(deficient) <= set(failing)
+        if failing:
+            # the stack fails at the smallest pivot where a matrix fails alone
+            for function in (cholesky, log_det):
+                with pytest.raises(NotPositiveDefiniteError) as err:
+                    function(stack)
+                assert err.value.pivot_index == min(failing.values())
+            return
+        lower = cholesky(stack)
+        log_dets = log_det(stack)
+        assert lower.shape == stack.shape and log_dets.shape == stack.shape[:1]
+        for a, factor, value in zip(stack, lower, log_dets):
+            assert factor.tobytes() == cholesky_reference(a).tobytes()
+            assert value.tobytes() == np.float64(log_det_reference(a)).tobytes()
+
+    def test_one_matrix_gives_a_float(self):
+        a = np.array([[4.0, 2.0], [2.0, 5.0]])
+        assert type(log_det(a)) is float
+        assert log_det(a) == log_det_reference(a)
+        assert log_det(a[None, None]).shape == (1, 1)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DomainError):
+            cholesky(np.ones((3, 2, 3)))
 
 
 class TestLogDet:
@@ -83,10 +140,15 @@ class TestSymPDMatrix:
         assert spd.log_det == pytest.approx(math.log(16.0), rel=1e-12)
         assert np.allclose(spd.cholesky_factor, [[2.0, 0.0], [1.0, 2.0]])
 
-    def test_non_pd_flagged_lazily(self):
-        degenerate = SymPDMatrix(np.zeros((2, 2)))  # construction is fine
+    def test_non_pd_raises_at_construction(self):
         with pytest.raises(NotPositiveDefiniteError):
-            _ = degenerate.log_det
+            SymPDMatrix(np.zeros((2, 2)))
+        with pytest.raises(NotPositiveDefiniteError):
+            SymPDMatrix(np.ones((2, 2)))
+
+    def test_rejects_stack(self):
+        with pytest.raises(DomainError):
+            SymPDMatrix(np.ones((2, 2, 2)))
 
     def test_entries_read_only(self):
         spd = SymPDMatrix(np.eye(2))
@@ -96,46 +158,46 @@ class TestSymPDMatrix:
 
 class TestSampleMeanCov:
     def test_two_point_hand_example(self):
-        mean, cov = sample_mean_cov([[0.0, 0.0], [2.0, 2.0]])
-        assert np.array_equal(mean, [1.0, 1.0])
-        assert np.array_equal(cov.entries, [[2.0, 2.0], [2.0, 2.0]])
+        mean, cov = sample_moments(np.array([[[0.0, 0.0], [2.0, 2.0]]]))
+        assert np.array_equal(mean, [[1.0, 1.0]])
+        assert np.array_equal(cov, [[[2.0, 2.0], [2.0, 2.0]]])
 
     def test_constant_rows_give_zero_covariance(self):
-        _, cov = sample_mean_cov(np.ones((10, 2)) * 3.5)
-        assert np.array_equal(cov.entries, np.zeros((2, 2)))
+        _, cov = sample_moments(np.ones((1, 10, 2)) * 3.5)
+        assert np.array_equal(cov, np.zeros((1, 2, 2)))
         with pytest.raises(NotPositiveDefiniteError):
-            _ = cov.cholesky_factor
+            cholesky(cov)
 
     def test_large_normal_sample_near_identity(self):
         x = RngStream(3, 0).generator.standard_normal((100_000, 2))
-        _, cov = sample_mean_cov(x)
-        assert np.all(np.abs(cov.entries - np.eye(2)) < 0.05)
+        _, cov = sample_moments(x[None])
+        assert np.all(np.abs(cov[0] - np.eye(2)) < 0.05)
 
     def test_row_permutation_exact(self):
         gen = RngStream(4, 0).generator
         x = gen.standard_normal((500, 3)) * 1e6  # large values stress the summation
-        mean_a, cov_a = sample_mean_cov(x)
+        mean_a, cov_a = sample_moments(x[None])
         perm = gen.permutation(500)
-        mean_b, cov_b = sample_mean_cov(x[perm])
+        mean_b, cov_b = sample_moments(x[perm][None])
         assert np.array_equal(mean_a, mean_b)
-        assert np.array_equal(cov_a.entries, cov_b.entries)
+        assert np.array_equal(cov_a, cov_b)
 
     def test_bits_equal_fsum_over_array(self):
         # heavy tails over 16 decades: exact summation of the same terms
         gen = RngStream(5, 0).generator
         x = gen.standard_t(1.5, size=(3000, 3)) * 10.0 ** gen.integers(-8, 8, size=(3000, 3))
-        mean, cov = sample_mean_cov(x)
+        mean, cov = sample_moments(x[None])
         ref_mean = np.array([math.fsum(x[:, j]) for j in range(3)]) / 3000
-        assert mean.tobytes() == ref_mean.tobytes()
+        assert mean[0].tobytes() == ref_mean.tobytes()
         centered = x - ref_mean
         for i in range(3):
             for j in range(3):
                 ref = math.fsum(centered[:, i] * centered[:, j]) / 2999
-                assert cov.entries[i, j].tobytes() == np.float64(ref).tobytes()
+                assert cov[0, i, j].tobytes() == np.float64(ref).tobytes()
 
     def test_rejects_single_row(self):
         with pytest.raises(DomainError):
-            sample_mean_cov([[1.0, 2.0]])
+            sample_moments(np.array([[[1.0, 2.0]]]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
