@@ -11,11 +11,11 @@ import tempfile
 from pathlib import Path
 
 from tsgof import (
-    CriticalValueTable,
     QGaussianParams,
     RngStream,
     parse_config,
     qgauss_sample,
+    read_critical_value,
     run_experiment,
     run_test,
 )
@@ -46,8 +46,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print()
     print((out_a / "critical_values.csv").read_text())
 
-    table = CriticalValueTable.from_csv(out_a / "critical_values.csv")
+    crit = read_critical_value(out_a / "critical_values.csv", q=1.2, m=2, k=1, n=500, alpha=0.05)
     data = qgauss_sample(QGaussianParams(m=2, q=1.2), 500, RngStream(99, 0))
-    result = run_test(data, k=1, q=1.2, family="t1", alpha=0.05, critical_table=table)
+    result = run_test(data, k=1, q=1.2, family="t1", alpha=0.05, critical_value=crit)
     print(f"test against the table: Q = {result.statistic:+.4f}, "
           f"crit = {result.critical_value:.4f}, reject = {result.reject}")

@@ -25,7 +25,7 @@ _EXPORTS = {
         "qgauss_covariance", "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const",
         "qgauss_q_integral", "qgauss_sample", "qgauss_tsallis_entropy", "tsallis_entropy_uniform",
     ),
-    "knn": ("knn_distances", "knn_distances_bruteforce"),
+    "knn": ("knn_distances",),
     "entropy": (
         "ConsistencyReport", "EntropyEstimate", "check_consistency_conditions",
         "knn_bias_constant", "tsallis_knn_estimate",
@@ -36,8 +36,8 @@ _EXPORTS = {
     ),
     "gof": ("TestResult", "gof_statistic", "run_test"),
     "harness": (
-        "CriticalValueRow", "CriticalValueTable", "ExperimentConfig", "GridBlock", "load_config",
-        "parse_config", "run_experiment",
+        "ExperimentConfig", "GridBlock", "load_config", "parse_config", "read_critical_value",
+        "run_experiment",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -37,7 +37,7 @@ from .errors import ConfigError, DomainError
 from .distributions import GGParams, QGaussianParams, gg_sample, qgauss_sample
 from .entropy import tsallis_knn_estimate
 from .gof import run_test
-from .harness import CriticalValueTable, _write_atomic, load_config, run_experiment
+from .harness import _write_atomic, load_config, read_critical_value, run_experiment
 from .linalg import SymPDMatrix
 from .mathcore import RngStream
 
@@ -154,9 +154,10 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_gof(args) -> int:
     x = read_matrix_csv(getattr(args, "in"))
-    table = None
+    crit = None
     if args.table is not None:
-        table = CriticalValueTable.from_csv(args.table)
+        n, m = x.shape
+        crit = read_critical_value(args.table, args.q, m, args.k, n, args.alpha)
     elif args.simulate is None:
         raise ConfigError("provide --table or --simulate for the critical value")
     rng = None
@@ -170,7 +171,7 @@ def _cmd_gof(args) -> int:
         q=args.q,
         family=args.family,
         alpha=args.alpha,
-        critical_table=table,
+        critical_value=crit,
         simulate=args.simulate,
         rng=rng,
     )

@@ -162,25 +162,24 @@ def run_test(
     q: float,
     family: str,
     alpha: float,
-    critical_table=None,
+    critical_value: float | None = None,
     simulate: int | None = None,
     rng: RngStream | None = None,
 ) -> TestResult:
     """Evaluate the statistic and decide against a critical value.
 
-    The critical value comes from `critical_table` (anything with a
-    .lookup(q, m, k, n, alpha) method, e.g. harness.CriticalValueTable) or,
-    on table miss or absence, from `simulate` null replicates at the
-    observed (N, m, q, k), replicate j drawn from rng.child(j): the upper
-    (1-alpha) empirical quantile of their statistics.
+    A given critical_value (harness.read_critical_value reads one from a
+    table) is used as it is; without one, it is the upper (1-alpha)
+    empirical quantile of `simulate` null replicates at the observed
+    (N, m, q, k), replicate j drawn from rng.child(j).
     """
+    if critical_value is not None and not np.isfinite(critical_value):
+        raise DomainError("critical values must be finite")
     if not (0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must lie in (0, 0.5], got {alpha!r}")
     base = gof_statistic(x, k, q, family)
 
-    crit = None
-    if critical_table is not None:
-        crit = critical_table.lookup(q=q, m=base.m, k=base.k, n=base.n, alpha=alpha)
+    crit = critical_value
     if crit is None:
         if simulate is None:
             raise ConfigError(

@@ -69,7 +69,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .distributions import QGaussianParams, qgauss_sample, qgauss_tsallis_entropy
 from .gof import FAMILIES, infeasibility_reason, null_replicates
 from .mathcore import MASK64, RngStream, content_index
@@ -261,84 +261,6 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path))
-
-
-# ---------------------------------------------------------------------------
-# critical-value table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalValueRow:
-    q: float
-    m: int
-    k: int
-    n: int
-    alpha: float
-    crit: float | None  # None marks an infeasible cell
-    replications: int
-    seed: int
-
-
-class CriticalValueTable:
-    """Rows of simulated upper critical values, keyed by (q, m, k, N, alpha)."""
-
-    def __init__(self, rows):
-        self.rows = list(rows)
-        for row in self.rows:
-            self._check_row(row)
-
-    @staticmethod
-    def _check_row(row: CriticalValueRow) -> None:
-        if row.crit is not None and not math.isfinite(row.crit):
-            raise DomainError("critical values must be finite")
-        if row.replications < 100:
-            raise DomainError("critical-value tables require M >= 100")
-
-    def lookup(self, q: float, m: int, k: int, n: int, alpha: float) -> float | None:
-        for row in self.rows:
-            if (
-                row.m == m
-                and row.k == k
-                and row.n == n
-                and math.isclose(row.q, q, rel_tol=0.0, abs_tol=1e-9)
-                and math.isclose(row.alpha, alpha, rel_tol=0.0, abs_tol=1e-9)
-            ):
-                return row.crit
-        return None
-
-    @classmethod
-    def from_csv(cls, path) -> "CriticalValueTable":
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read table {path}: {exc}") from exc
-        if not lines or lines[0].strip() != "q,m,k,N,alpha,crit,M,seed":
-            raise ConfigError(f"{path}: expected header 'q,m,k,N,alpha,crit,M,seed'")
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ConfigError(f"{path}:{lineno}: expected 8 columns, got {len(parts)}")
-            try:
-                row = CriticalValueRow(
-                    q=float(parts[0]),
-                    m=int(parts[1]),
-                    k=int(parts[2]),
-                    n=int(parts[3]),
-                    alpha=float(parts[4]),
-                    crit=None if parts[5] == "infeasible" else float(parts[5]),
-                    replications=int(parts[6]),
-                    seed=int(parts[7]),
-                )
-                cls._check_row(row)
-            except (ValueError, DomainError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            rows.append(row)
-        return cls(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +573,47 @@ def _write_csv(path: Path, name: str, rows):
     lines = [_HEADERS[name]]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def read_critical_value(path, q: float, m: int, k: int, n: int, alpha: float) -> float | None:
+    """The crit of the first critical_values.csv row with equal m, k and N
+    and q and alpha within an absolute 1e-9; None on a miss or an
+    `infeasible` row. Every row is checked first: a bad header or row
+    raises ConfigError naming the file and line.
+    """
+    path = Path(path)
+    header = _HEADERS["critical_values.csv"]
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read table {path}: {exc}") from exc
+    if not lines or lines[0].strip() != header:
+        raise ConfigError(f"{path}: expected header '{header}'")
+    hits = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise ConfigError(f"{path}:{lineno}: expected 8 columns, got {len(parts)}")
+        try:
+            row_q, row_m, row_k, row_n, row_alpha, crit, replications, _ = (
+                float(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]),
+                None if parts[5] == "infeasible" else float(parts[5]), int(parts[6]), int(parts[7]),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if crit is not None and not math.isfinite(crit):
+            raise ConfigError(f"{path}:{lineno}: critical values must be finite")
+        if replications < 100:
+            raise ConfigError(f"{path}:{lineno}: critical-value tables require M >= 100")
+        if (
+            (row_m, row_k, row_n) == (m, k, n)
+            and math.isclose(row_q, q, rel_tol=0.0, abs_tol=1e-9)
+            and math.isclose(row_alpha, alpha, rel_tol=0.0, abs_tol=1e-9)
+        ):
+            hits.append(crit)
+    return hits[0] if hits else None
 
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:

@@ -125,13 +125,13 @@ def sample_moments(samples) -> tuple[np.ndarray, np.ndarray]:
     (B, N, m) stack of samples: every column sum and every covariance
     entry is math.fsum's, through one exact_sums call for all means and
     one for all covariance entries, so no result depends on row order or
-    on the other samples of the stack. A non-finite entry raises
+    on the other samples of the stack. N < 2 or a non-finite entry raises
     DomainError as as_sample_matrix does. The covariances are not checked
     for positive definiteness.
     """
     b, n, m = samples.shape
-    as_sample_matrix(samples.reshape(b * n, m))  # its finite check, once for the stack
     columns = np.ascontiguousarray(samples.transpose(0, 2, 1))  # one row per column
+    as_sample_matrix(columns.reshape(b * m, n).T)  # its N and finite checks, once for the stack
     mean = exact_sums(columns.reshape(b * m, n)).reshape(b, m) / n
     centered = columns - mean[:, :, None]
     i, j = np.triu_indices(m)

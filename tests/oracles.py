@@ -29,9 +29,12 @@ from tsgof.distributions import (
 from tsgof.entropy import knn_bias_constant
 from tsgof.errors import DomainError, NotPositiveDefiniteError
 from tsgof.gof import require_feasible
-from tsgof.knn import knn_distances_bruteforce
-from tsgof.linalg import SymPDMatrix
+from tsgof.knn import _check_k
+from tsgof.linalg import SymPDMatrix, as_sample_matrix
 from tsgof.mathcore import unit_ball_volume
+
+# cap on the scratch distance block (floats) used by the brute force
+_BRUTE_BLOCK_FLOATS = 1 << 23
 
 
 def _integrate_1d(f, radius):
@@ -172,6 +175,31 @@ def null_max_entropy(sample_cov, m: int, q: float, family: str) -> float:
         raise DomainError(f"covariance is {sample_cov.dim}x{sample_cov.dim}, expected m={m}")
     shape = qgauss_shape_from_covariance(sample_cov, m, q)
     return qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=shape))
+
+
+def knn_distances_bruteforce(x, k: int) -> np.ndarray:
+    """All-pairs computation of the N x k neighbor-distance matrix, the
+    oracle for `knn.knn_distances`.
+
+    Row i holds the sorted distances from point i to its 1st..k-th nearest
+    neighbors among the other N-1 points. Duplicate rows yield zero
+    distances; callers that cannot tolerate them must reject downstream.
+    """
+    a = as_sample_matrix(x)
+    n, m = a.shape
+    k = _check_k(k, n)
+    out = np.empty((n, k))
+    block = max(1, _BRUTE_BLOCK_FLOATS // n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = np.zeros((stop - start, n))
+        for j in range(m):  # fixed coordinate order for bit equality with the tree
+            diff = a[start:stop, j][:, None] - a[None, :, j]
+            d2 += diff * diff
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        smallest = np.partition(d2, k - 1, axis=1)[:, :k]
+        out[start:stop] = np.sqrt(np.sort(smallest, axis=1))
+    return out
 
 
 def lps_estimate_reference(x, k: int, q: float) -> tuple[float, float]:

@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from oracles import pdf_power_integral_quadrature, radial_cdf_from_log_pdf
+from oracles import (
+    knn_distances_bruteforce,
+    pdf_power_integral_quadrature,
+    radial_cdf_from_log_pdf,
+)
 from tsgof.errors import DomainError, InfeasibleModelError
 from tsgof.distributions import (
     GGParams,
@@ -33,7 +37,7 @@ from tsgof.harness import (
     deterministic_map,
     run_experiment,
 )
-from tsgof.knn import knn_distances, knn_distances_bruteforce
+from tsgof.knn import knn_distances
 from tsgof.linalg import SymPDMatrix, sample_moments
 from tsgof.mathcore import RngStream
 

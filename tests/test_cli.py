@@ -230,6 +230,48 @@ class TestGof:
         error = json.loads(err)
         assert error["kind"] == "config" and f"{table}:2:" in error["error"]
 
+    @pytest.mark.parametrize("bad_row", [
+        "1.2,2,1,300,0.05,nan,500,0",
+        "1.2,2,1,300,0.05,0.1,99,0",
+        "1.2,2,1,300,0.05,0.1,500",
+        "1.2,2,1.5,300,0.05,0.1,500,0",
+    ])
+    def test_bad_row_after_the_hit_exit_2(self, capsys, tmp_path, bad_row):
+        # every row is checked before the table answers
+        data = self.make_data(tmp_path)
+        table = tmp_path / "table.csv"
+        table.write_text(f"q,m,k,N,alpha,crit,M,seed\n1.2,2,1,300,0.05,0.123,500,0\n{bad_row}\n")
+        code, _, err = run_cli(
+            ["gof", "--in", str(data), "--family", "t1", "--q", "1.2", "--k", "1",
+             "--table", str(table)], capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["kind"] == "config" and f"{table}:3:" in error["error"]
+
+    @pytest.mark.parametrize("rows, crit", [
+        (["1.2,2,1,300,0.05,0.111,500,0", "1.2,2,1,300,0.05,0.222,500,0"], 0.111),
+        (["1.2000000001,2,1,300,0.05,0.123,500,0"], 0.123),
+        (["1.2,2,1,300,0.0500000001,0.123,500,0"], 0.123),
+        (["1.2001,2,1,300,0.05,0.123,500,0"], None),
+        (["1.2,2,1,300,0.05,infeasible,500,0", "1.2,2,1,300,0.05,0.123,500,0"], None),
+    ], ids=["first-hit-wins", "q-within-1e-9", "alpha-within-1e-9", "q-off-by-1e-4",
+            "infeasible-hit"])
+    def test_table_match_rules(self, capsys, tmp_path, rows, crit):
+        # a table's crit is used as it is; a miss, or an infeasible first
+        # hit, falls through to the same simulation as no table at all
+        data = self.make_data(tmp_path)
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(["q,m,k,N,alpha,crit,M,seed", *rows]) + "\n")
+        args = ["gof", "--in", str(data), "--family", "t1", "--q", "1.2", "--k", "1",
+                "--simulate", "50", "--seed", "3"]
+        code, out, _ = run_cli(args + ["--table", str(table)], capsys)
+        assert code == 0
+        if crit is None:
+            simulated, simulated_out, _ = run_cli(args, capsys)
+            assert simulated == 0 and out == simulated_out
+        else:
+            assert json.loads(out)["critical_value"] == crit
+
     def test_neither_table_nor_simulate_exit_2(self, capsys, tmp_path):
         data = self.make_data(tmp_path)
         code, _, _ = run_cli(
@@ -545,21 +587,23 @@ class TestExperimentCommands:
 
 
 # the package's public names: those before its import became lazy, less
-# null_max_entropy and qgauss_shape_from_covariance, which moved to the test
-# oracles, and sample_mean_cov, whose work sample_moments does for a stack
+# null_max_entropy, qgauss_shape_from_covariance and knn_distances_bruteforce,
+# which moved to the test oracles, sample_mean_cov, whose work sample_moments
+# does for a stack, and the critical-value table classes, whose one use
+# read_critical_value serves
 PUBLIC_NAMES = [
-    "ConfigError", "ConsistencyReport", "CriticalValueRow", "CriticalValueTable",
-    "DegenerateSampleError", "DomainError", "EntropyEstimate", "ExperimentConfig", "GGParams",
-    "GridBlock", "InfeasibleModelError", "NotPositiveDefiniteError", "QGaussianParams",
-    "RegressionFit", "RngStream", "ShapiroResult", "SymPDMatrix", "TestResult", "as_sample_matrix",
+    "ConfigError", "ConsistencyReport", "DegenerateSampleError", "DomainError",
+    "EntropyEstimate", "ExperimentConfig", "GGParams", "GridBlock", "InfeasibleModelError",
+    "NotPositiveDefiniteError", "QGaussianParams", "RegressionFit", "RngStream",
+    "ShapiroResult", "SymPDMatrix", "TestResult", "as_sample_matrix",
     "check_consistency_conditions", "cholesky", "distributions", "draw_gamma",
     "empirical_quantile", "entropy", "errors", "gg_covariance", "gg_log_pdf", "gg_norm_const",
     "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale", "gof",
-    "gof_statistic", "harness", "knn", "knn_bias_constant", "knn_distances",
-    "knn_distances_bruteforce", "linalg", "load_config", "log_det", "log_gamma", "mahalanobis_sq",
-    "mathcore", "ols_slope_with_offset", "parse_config", "qgauss_covariance",
-    "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const", "qgauss_q_integral",
-    "qgauss_sample", "qgauss_tsallis_entropy", "run_experiment", "run_test",
+    "gof_statistic", "harness", "knn", "knn_bias_constant", "knn_distances", "linalg",
+    "load_config", "log_det", "log_gamma", "mahalanobis_sq", "mathcore",
+    "ols_slope_with_offset", "parse_config", "qgauss_covariance", "qgauss_covariance_factor",
+    "qgauss_log_pdf", "qgauss_norm_const", "qgauss_q_integral", "qgauss_sample",
+    "qgauss_tsallis_entropy", "read_critical_value", "run_experiment", "run_test",
     "shapiro_wilk", "statkit", "tsallis_entropy_uniform", "tsallis_knn_estimate",
     "unit_ball_volume",
 ]

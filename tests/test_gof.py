@@ -28,7 +28,6 @@ from tsgof.gof import (
     require_feasible,
     run_test,
 )
-from tsgof.harness import CriticalValueRow, CriticalValueTable
 from tsgof.linalg import SymPDMatrix, sample_moments
 from tsgof.mathcore import RngStream
 from tsgof.statkit import empirical_quantile
@@ -306,23 +305,23 @@ class TestNullReplicates:
 
 
 class TestRunTest:
-    def table(self, crit=0.05):
-        row = CriticalValueRow(
-            q=1.2, m=2, k=1, n=500, alpha=0.05, crit=crit, replications=500, seed=0
-        )
-        return CriticalValueTable([row])
-
     def test_table_hit_and_decision(self):
         x = null_draws(500, 88)
-        low = run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_table=self.table(1e9))
+        low = run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_value=1e9)
         assert low.reject is False and low.critical_value == 1e9
-        high = run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_table=self.table(-1e9))
+        high = run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_value=-1e9)
         assert high.reject is True
 
+    @pytest.mark.parametrize("crit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_critical_value_is_domain_error(self, crit):
+        x = null_draws(500, 88)
+        with pytest.raises(DomainError, match="critical values must be finite"):
+            run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_value=crit)
+
     def test_table_miss_without_budget_is_config_error(self):
-        x = null_draws(400, 89)  # n=400 not in table
+        x = null_draws(400, 89)
         with pytest.raises(ConfigError):
-            run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_table=self.table())
+            run_test(x, k=1, q=1.2, family="t1", alpha=0.05, critical_value=None)
 
     def test_table_miss_with_budget_simulates(self):
         x = null_draws(400, 90)
@@ -332,7 +331,7 @@ class TestRunTest:
             q=1.2,
             family="t1",
             alpha=0.05,
-            critical_table=self.table(),
+            critical_value=None,
             simulate=100,
             rng=RngStream(91, 0),
         )

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 from tsgof import harness
-from tsgof.errors import ConfigError, DomainError
+from tsgof.errors import ConfigError
 from tsgof.gof import infeasibility_reason
 from tsgof.harness import (
-    CriticalValueRow,
-    CriticalValueTable,
     ExperimentConfig,
     GridBlock,
     load_config,
     parse_config,
+    read_critical_value,
     run_experiment,
 )
 
@@ -220,15 +219,6 @@ class TestCriticalValues:
         assert (tmp_path / "a/critical_values.csv").read_bytes() == (
             tmp_path / "b/critical_values.csv"
         ).read_bytes()
-
-    def test_in_memory_table(self, tmp_path):
-        # a table built from rows in memory, not through from_csv
-        rows = run_files(tiny_config(), tmp_path)["critical_values.csv"]
-        table = CriticalValueTable([CriticalValueRow(*row) for row in rows])
-        assert len(table.rows) == 2
-        value = table.lookup(q=1.2, m=2, k=1, n=60, alpha=0.05)
-        assert value is not None and math.isfinite(value)
-        assert table.lookup(q=1.3, m=2, k=1, n=60, alpha=0.05) is None
 
     def test_doubling_replications_moves_quantile_within_bootstrap_error(self, tmp_path):
         # doubling M from 500 to 1000 changes the critical value by less
@@ -706,29 +696,21 @@ class TestDistributionShape:
 
 class TestCriticalValueTable:
     def test_round_trip_csv(self, tmp_path):
-        config = tiny_config()
-        run_experiment(config, out_dir=tmp_path, workers=1)
-        table = CriticalValueTable.from_csv(tmp_path / "critical_values.csv")
-        assert len(table.rows) == 2
-        for n in (60, 80):
-            value = table.lookup(q=1.2, m=2, k=1, n=n, alpha=0.05)
-            assert value is not None and math.isfinite(value)
-        assert table.lookup(q=1.3, m=2, k=1, n=60, alpha=0.05) is None
+        rows = run_files(tiny_config(), tmp_path)["critical_values.csv"]
+        path = tmp_path / "critical_values.csv"
+        assert [row[3] for row in rows] == [60, 80]
+        for q, m, k, n, alpha, crit, _, _ in rows:
+            assert read_critical_value(path, q, m, k, n, alpha) == crit and math.isfinite(crit)
+        assert read_critical_value(path, q=1.3, m=2, k=1, n=60, alpha=0.05) is None
 
     def test_infeasible_rows_round_trip_as_none(self, tmp_path):
         config = tiny_config(grids=(GridBlock(qs=(2.5,), ms=(2,), ks=(1,), ns=(60,)),))
         run_experiment(config, out_dir=tmp_path, workers=1)
-        table = CriticalValueTable.from_csv(tmp_path / "critical_values.csv")
-        assert table.lookup(q=2.5, m=2, k=1, n=60, alpha=0.05) is None
+        path = tmp_path / "critical_values.csv"
+        assert read_critical_value(path, q=2.5, m=2, k=1, n=60, alpha=0.05) is None
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
-            CriticalValueTable.from_csv(bad)
-
-    def test_m_floor_enforced(self):
-        with pytest.raises(DomainError):
-            CriticalValueTable(
-                [CriticalValueRow(q=1.2, m=2, k=1, n=10, alpha=0.05, crit=0.1, replications=50, seed=0)]
-            )
+            read_critical_value(bad, q=1.2, m=2, k=1, n=60, alpha=0.05)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import knn_distances_bruteforce
 from tsgof import knn
 from tsgof.errors import DomainError
-from tsgof.knn import knn_distances, knn_distances_bruteforce
+from tsgof.knn import knn_distances
 from tsgof.mathcore import RngStream
 
 

@@ -199,6 +199,11 @@ class TestSampleMeanCov:
         with pytest.raises(DomainError):
             sample_moments(np.array([[[1.0, 2.0]]]))
 
+    def test_rejects_single_row_samples_in_a_stack(self):
+        # B one-row samples must not pass as one sample of B rows
+        with pytest.raises(DomainError, match="at least 2 rows"):
+            sample_moments(np.array([[[1.0, 2.0]], [[3.0, 5.0]]]))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             as_sample_matrix([[1.0, np.inf], [0.0, 1.0]])
