@@ -5,7 +5,8 @@ convergence, shape. Single-shot results are printed as JSON on stdout;
 experiment subcommands write CSV tables. Exit codes: 0 success, 1 domain
 or feasibility error, 2 I/O or configuration error, 1 on SIGINT (kind
 `interrupted`); any other exception is an internal error and exits 1.
-Error messages are single JSON objects on stderr. Output files are
+Error messages are single JSON objects on stderr; an input file that
+cannot be read or decoded as UTF-8 is a configuration error. Output files are
 written atomically (temp-and-rename), so a non-zero exit never leaves a
 partial primary output behind. Experiment subcommands take their output
 directory from --out and their worker count from --workers (default 1; a
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 # BLAS calls here are on matrices with a side of m (at most 10 in the paper's
@@ -37,7 +39,9 @@ from .errors import ConfigError, DomainError
 from .distributions import GGParams, QGaussianParams, gg_sample, qgauss_sample
 from .entropy import tsallis_knn_estimate
 from .gof import run_test
-from .harness import _write_atomic, load_config, read_critical_value, run_experiment
+from .harness import (
+    _csv_text, _read_text, _write_atomic, load_config, read_critical_value, run_experiment,
+)
 from .linalg import SymPDMatrix
 from .mathcore import RngStream
 
@@ -54,10 +58,7 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV matrix; the first line may be a header, which is
     auto-detected by non-numeric tokens. All rows must have equal arity."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path, "").splitlines()
     rows = []
     arity = None
     start = 0
@@ -84,10 +85,6 @@ def read_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return np.asarray(rows)
-
-
-def _matrix_to_csv(a: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
 
 
 def _load_sigma(spec: str, m: int) -> SymPDMatrix:
@@ -133,7 +130,7 @@ def _cmd_sample(args) -> int:
             m=args.m, q=args.q, mu=_parse_mu(args.mu, args.m), sigma=_load_sigma(args.sigma, args.m)
         )
         draws = qgauss_sample(params, args.n, RngStream(args.seed))
-    text = _matrix_to_csv(draws)
+    text = _csv_text(draws)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -141,14 +138,14 @@ def _cmd_sample(args) -> int:
     return _EXIT_OK
 
 
+def _print_record(record) -> None:
+    """Print a result record's fields in order as one JSON object, with n as N."""
+    print(json.dumps({"N" if name == "n" else name: v for name, v in asdict(record).items()}))
+
+
 def _cmd_entropy(args) -> int:
     x = read_matrix_csv(getattr(args, "in"))
-    est = tsallis_knn_estimate(x, k=args.k, q=args.q)
-    print(
-        json.dumps(
-            {"i_hat": est.i_hat, "h_hat": est.h_hat, "N": est.n, "m": est.m, "q": est.q, "k": est.k}
-        )
-    )
+    _print_record(tsallis_knn_estimate(x, k=args.k, q=args.q))
     return _EXIT_OK
 
 
@@ -165,7 +162,7 @@ def _cmd_gof(args) -> int:
         if args.seed is None:
             raise ConfigError("--simulate requires --seed")
         rng = RngStream(args.seed)
-    result = run_test(
+    _print_record(run_test(
         x,
         k=args.k,
         q=args.q,
@@ -174,22 +171,7 @@ def _cmd_gof(args) -> int:
         critical_value=crit,
         simulate=args.simulate,
         rng=rng,
-    )
-    print(
-        json.dumps(
-            {
-                "statistic": result.statistic,
-                "family": result.family,
-                "q": result.q,
-                "k": result.k,
-                "N": result.n,
-                "m": result.m,
-                "alpha": result.alpha,
-                "critical_value": result.critical_value,
-                "reject": result.reject,
-            }
-        )
-    )
+    ))
     return _EXIT_OK
 
 

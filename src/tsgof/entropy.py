@@ -32,10 +32,10 @@ class EntropyEstimate:
 
     i_hat: float
     h_hat: float
-    q: float
-    k: int
     n: int
     m: int
+    q: float
+    k: int
 
 
 @dataclass(frozen=True)

@@ -254,13 +254,18 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     return ExperimentConfig(grids=tuple(blocks), **{_FIELDS.get(k, k): v for k, v in top.items()})
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of an input file; a file that cannot be opened or decoded
+    as UTF-8 is a ConfigError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, source=str(path))
+    return parse_config(_read_text(path, "config "), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +346,7 @@ def _tag(task: _Task) -> list:
 def _histogram(values: np.ndarray) -> np.ndarray:
     """(bins, 3) matrix of [bin_left, bin_right, density] per
     Freedman-Diaconis bin."""
-    edges = np.histogram_bin_edges(values, bins="fd")
-    counts, edges = np.histogram(values, bins=edges)
+    counts, edges = np.histogram(values, bins="fd")
     density = counts / (counts.sum() * np.diff(edges))
     return np.column_stack((edges[:-1], edges[1:], density))
 
@@ -438,11 +442,11 @@ def _regression_rows(config: ExperimentConfig, columns: dict) -> list:
     rows = []
     for (q, m, k), mean_abs in groups.items():
         usable = [(n, v) for n, v in sorted(mean_abs.items()) if v > 0]
-        if len(usable) < 3:
-            rows.append([q, m, k, "infeasible", "infeasible", "infeasible"])
-            continue
-        fit = ols_slope_with_offset([n for n, _ in usable], [v for _, v in usable])
-        rows.append([q, m, k, fit.slope, fit.intercept, fit.residual_stderr])
+        values = {}
+        if len(usable) >= 3:
+            fit = ols_slope_with_offset([n for n, _ in usable], [v for _, v in usable])
+            values = dict(beta=fit.slope, intercept=fit.intercept, rse=fit.residual_stderr)
+        rows.append(_row(config, "regression.csv", (q, m, k, None), **values))
     return rows
 
 
@@ -569,10 +573,11 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
-def _write_csv(path: Path, name: str, rows):
-    lines = [_HEADERS[name]]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _csv_text(rows, header: str | None = None) -> str:
+    """CSV text of rows, every value written by _fmt, after header if given."""
+    lines = [] if header is None else [header]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def read_critical_value(path, q: float, m: int, k: int, n: int, alpha: float) -> float | None:
@@ -583,10 +588,7 @@ def read_critical_value(path, q: float, m: int, k: int, n: int, alpha: float) ->
     """
     path = Path(path)
     header = _HEADERS["critical_values.csv"]
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from exc
+    lines = _read_text(path, "table ").splitlines()
     if not lines or lines[0].strip() != header:
         raise ConfigError(f"{path}: expected header '{header}'")
     hits = []
@@ -655,7 +657,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     for name in _HEADERS:
         if name in files:
             path = out_dir / name
-            _write_csv(path, name, files[name])
+            _write_atomic(path, _csv_text(files[name], _HEADERS[name]))
             paths[name] = path
     manifest = {
         "experiment": config.kind,

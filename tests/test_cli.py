@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tsgof import harness
 from tsgof.cli import build_parser, main, read_matrix_csv
@@ -285,6 +287,68 @@ class TestGof:
              "--simulate", "50", "--seed", "1"], capsys)
         assert code == 1
         assert "1 + 2/(m+2)" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command, name, text", [
+    (["entropy", "--k", "1", "--q", "0.5", "--in"], "x.csv", b"x1,x2\n1.0,2.0\n3.0,4.0 \xe9\n"),
+    (["sample", "--family", "qgauss", "--m", "2", "--q", "1.2", "--n", "5", "--seed", "1",
+      "--sigma"], "sigma.csv", b"1.0,0.0\n0.0,1.0\xe9\n"),
+    (["gof", "--in", "GOOD", "--family", "t1", "--q", "1.2", "--k", "1", "--table"],
+     "table.csv", b"q,m,k,N,alpha,crit,M,seed\n1.2,2,1,5,0.05,0.1,100,0 \xe9\n"),
+    (["critical-values", "--out", "OUT", "--config"], "cv.cfg",
+     TINY_CONFIG.encode() + b"# caf\xe9\n"),
+], ids=["entropy-in", "sample-sigma", "gof-table", "critical-values-config"])
+def test_undecodable_input_exit_2_config(capsys, tmp_path, command, name, text):
+    good = tmp_path / "good.csv"
+    good.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n0.5,0.2\n")
+    bad = tmp_path / name
+    bad.write_bytes(text)
+    replace = {"GOOD": str(good), "OUT": str(tmp_path / "out")}
+    code, out, err = run_cli([replace.get(a, a) for a in command] + [str(bad)], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith("cannot read ") and str(bad) in error["error"]
+
+
+_HEADER = b"q,m,k,N,alpha,crit,M,seed"
+_TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b"infeasible", b"1_0", b"\xe9", b"caf\xc3\xa9",
+           b"", b" ", b"1.2", b"2", b"100", b"0.05", b"-1", b"99"]
+_CONFIG_LINES = [b"kind = critical-values", b"kind = convergence", b"family = t2", b"M = 100",
+                 b"M = nan", b"alpha = inf", b"master_seed = -1", b"n = 1_0", b"draws = 1",
+                 b"[grid]", b"[grid", b"q = 1.2 nan", b"m = 0 2", b"k = 1", b"N = 1_0 5",
+                 b"# caf\xe9", b"q = 1.2 # c"]
+_LINES = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=9).map(b",".join),
+    st.sampled_from(_CONFIG_LINES),
+)
+_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.booleans(), st.lists(_LINES, max_size=8)).map(
+        lambda t: b"\n".join(([_HEADER] if t[0] else []) + t[1])
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@given(data=_FILES)
+def test_readers_raise_only_config_error(fuzzed_file, data):
+    # every input reader returns or raises ConfigError, whatever the bytes
+    fuzzed_file.write_bytes(data)
+    readers = (
+        read_matrix_csv,
+        lambda p: harness.read_critical_value(p, 1.2, 2, 1, 100, 0.05),
+        harness.load_config,
+    )
+    for read in readers:
+        try:
+            read(fuzzed_file)
+        except ConfigError:
+            pass
 
 
 class TestExperimentCommands:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tsgof import harness
+from tsgof.distributions import QGaussianParams, qgauss_sample
 from tsgof.errors import ConfigError
 from tsgof.gof import infeasibility_reason
 from tsgof.harness import (
@@ -19,6 +20,7 @@ from tsgof.harness import (
     read_critical_value,
     run_experiment,
 )
+from tsgof.mathcore import RngStream
 
 EXAMPLE = """
 # annotated example configuration
@@ -647,6 +649,17 @@ class TestDistributionShape:
         rows = files["shape_sample_density.csv"]
         mass = sum((r[4] - r[3]) * r[5] for r in rows)
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("q, m", [(1.5, 1), (1.9, 1), (0.5, 3)])
+    def test_histogram_equals_edges_then_counts(self, q, m):
+        # one np.histogram call gives the bits of bin_edges followed by histogram
+        draws = qgauss_sample(QGaussianParams(m=m, q=q), 20_000, RngStream(11))[:, 0]
+        edges = np.histogram_bin_edges(draws, bins="fd")
+        counts, edges = np.histogram(draws, bins=edges)
+        density = counts / (counts.sum() * np.diff(edges))
+        expected = np.column_stack((edges[:-1], edges[1:], density))
+        got = harness._histogram(draws)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_qq_pairs_are_sorted(self, tmp_path):
         files = run_files(self.make_config(), tmp_path)
