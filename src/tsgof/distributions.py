@@ -149,12 +149,29 @@ def gg_variance_scale(m: int, s: float) -> float:
     )
 
 
+def _affine_draws(member: str, params, loc: np.ndarray, radial: np.ndarray) -> np.ndarray:
+    """The draws loc + radial @ L^T, with params.sigma = L L^T. The
+    samplers run under np.errstate(all="ignore"), so a radius that
+    overflows float64 warns nothing; any draw that is not finite is refused
+    here, with a DomainError naming the member (member.format(p=params),
+    formatted only then)."""
+    x = loc + radial @ params.sigma.cholesky_factor.T
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = len(x) - int(finite.all(axis=1).sum())
+        member = member.format(p=params)
+        raise DomainError(f"{member} draws overflow float64: {bad} of {len(x)} are not finite")
+    return x
+
+
+@np.errstate(all="ignore")
 def gg_sample(params: GGParams, n: int, rng: RngStream) -> np.ndarray:
     """Exact draws via the radial decomposition.
 
     X = alpha + r * Sigma^(1/2) U with U uniform on the sphere and
     r = (2 G)^(1/s), G ~ Gamma(m/s), which gives the radial density
-    proportional to r^(m-1) exp(-r^s / 2).
+    proportional to r^(m-1) exp(-r^s / 2). Draws that overflow float64
+    (s near 0) raise DomainError.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -167,7 +184,7 @@ def gg_sample(params: GGParams, n: int, rng: RngStream) -> np.ndarray:
     r = (2.0 * g) ** (1.0 / s)
     directions = z / norms[:, None]
     radial = directions * r[:, None]
-    return params.alpha + radial @ params.sigma.cholesky_factor.T
+    return _affine_draws("generalized Gaussian s={p.s}, m={p.m}", params, params.alpha, radial)
 
 
 def _gg_log_q_integral(m: int, s: float, log_det_sigma: float, q: float) -> float:
@@ -316,6 +333,7 @@ def qgauss_covariance(params: QGaussianParams) -> SymPDMatrix:
     return params.sigma.scaled(qgauss_covariance_factor(params.m, params.q))
 
 
+@np.errstate(all="ignore")
 def qgauss_sample(params: QGaussianParams, n: int, rng: RngStream) -> np.ndarray:
     """Exact draws via the elliptical radial representations.
 
@@ -324,6 +342,7 @@ def qgauss_sample(params: QGaussianParams, n: int, rng: RngStream) -> np.ndarray
     q > 1: X = mu + c Sigma^(1/2) T with T standard multivariate Student-t,
            dof nu = 2/(q-1) - m and c = sqrt(2 / (nu (q-1))).
     q = 1: multivariate normal.
+    Draws that overflow float64 (nu near 0) raise DomainError.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -343,7 +362,7 @@ def qgauss_sample(params: QGaussianParams, n: int, rng: RngStream) -> np.ndarray
         w = gen.chisquare(nu, size=n)
         c = math.sqrt(2.0 / (nu * (q - 1.0)))
         radial = c * z / np.sqrt(w / nu)[:, None]
-    return params.mu + radial @ params.sigma.cholesky_factor.T
+    return _affine_draws("q-Gaussian q={p.q}, m={p.m}", params, params.mu, radial)
 
 
 # ---------------------------------------------------------------------------

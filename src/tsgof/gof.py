@@ -211,8 +211,10 @@ def null_replicates(
     each column equals what a run with ks=(k,) gives, bit for bit. Where a
     block fails, its draws are evaluated again one at a time, so the first
     failing draw raises what it raises alone, wherever the block
-    boundaries fall. With statistic, entries are Q; without it they are
-    the estimates h_hat, and the covariance bridge is not required.
+    boundaries fall; a draw the sampler refuses (one that overflows
+    float64) raises once the draws before it are evaluated. With
+    statistic, entries are Q; without it they are the estimates h_hat, and
+    the covariance bridge is not required.
     """
     ks = _checked_ks(ks, q, m, n, family, statistic)
     params = QGaussianParams(m=m, q=q)
@@ -220,11 +222,13 @@ def null_replicates(
     streams = iter(streams)
     blocks = []
     while chunk := list(islice(streams, max(1, _BLOCK_VALUES // n))):
-        samples = np.stack([qgauss_sample(params, n, rng) for rng in chunk])
+        samples = []
         try:
-            blocks.append(evaluate(samples))
+            for rng in chunk:
+                samples.append(qgauss_sample(params, n, rng))  # DomainError on overflow
+            blocks.append(evaluate(np.stack(samples)))
         except (ValueError, OverflowError):
-            for j in range(len(samples)):
-                evaluate(samples[j : j + 1])
+            for sample in samples:
+                evaluate(sample[None])
             raise
     return np.concatenate(blocks) if blocks else np.empty((0, len(ks)))

@@ -3,9 +3,12 @@ persisted CSV results.
 
 Determinism contract
 --------------------
-Output bytes are a pure function of (config, master_seed). The plan has
-one task per distinct (q, m, N) point with a feasible k, over every grid
-block, and its replicate rep draws from
+Output bytes are a pure function of (config, master_seed). The plan lists
+every output cell once, in file order, with the feasibility rule's
+verdict: the kind's (q, m, k, N) cells, then each distribution-shape
+member's sample density as cell (q, m, 0, 0). It has one task per
+distinct (q, m, N) point of its feasible cells, over every grid block,
+and replicate rep of a point draws from
 RngStream(master_seed, content_index(family, q, m, N, rep)): the stream is
 keyed by what the replicate simulates, not by where its cell sits in the
 grid. Every k of the point is read off the same draws (common random
@@ -28,28 +31,16 @@ deleted. Every matrix, reused or just computed, is read back through the
 same check: it holds exactly the task's tag and a matrix of the task's
 shape whose entries are finite floats. A missing, unreadable or refused
 cached file is recomputed (a refusal is logged); a refused computed one
-stops the run. The experiment kind's reducer turns the columns into
-rows, and infeasible cells into markers, only when the files are
-assembled in plan order, so a cell file names no kind and no file, and
-an interrupted run resumes byte-identically.
+stops the run. Assembly is one loop over the plan's cells: the kind's
+reducer turns each cell's column (or histogram) into rows, and an
+infeasible cell into a marker row and a manifest reason, so a cell file
+names no kind and no file, and an interrupted run resumes
+byte-identically.
 
-Result files (CSV, UTF-8, comma-separated, '.' decimal, header mandatory)
-----------------------------------------------------------------------
-critical-values     critical_values.csv   q,m,k,N,alpha,crit,M,seed
-normality-sweep     normality.csv         q,m,k,N,mean_p,M,n,seed
-convergence         convergence.csv       q,m,k,N,mean_q,std_q,M,seed
-                    regression.csv        q,m,k,beta,intercept,rse
-consistency-curves  consistency.csv       q,m,k,N,mean_h,std_h,h_true,M,seed
-distribution-shape  shape_statistics.csv  q,m,k,N,rep,Q,M,seed
-                    shape_stat_density.csv q,m,k,N,bin_left,bin_right,density,M,seed
-                    shape_stat_qq.csv     q,m,k,N,i,standardized_q,normal_quantile,M,seed
-                    shape_sample_density.csv q,m,draws,bin_left,bin_right,density,log_density,seed
-
-Cells that violate a family feasibility bound are emitted as explicit
-rows whose value columns read `infeasible` (with the reason recorded in
-the manifest), never silently skipped. Each experiment also writes
-`<kind>_manifest.json` echoing the config, its hash, the master seed, the
-stream layout and the toolkit version.
+The result files and their columns are listed in _HEADERS and in the
+README. Each experiment also writes `<kind>_manifest.json` echoing the
+config, its hash, the master seed, the stream layout and the toolkit
+version.
 """
 
 import hashlib
@@ -69,7 +60,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .distributions import QGaussianParams, qgauss_sample, qgauss_tsallis_entropy
 from .gof import FAMILIES, infeasibility_reason, null_replicates
 from .mathcore import MASK64, RngStream, content_index
@@ -91,6 +82,7 @@ KINDS = {
 STREAM_LAYOUT = 2
 
 _BIN_RULE = "freedman-diaconis (numpy histogram_bin_edges 'fd')"
+_MAX_BINS = 2**22  # a histogram that would need more bins is refused
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +210,21 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if current is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-            if key in top:
-                raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-            caster = _TOP_KEYS[key]
-            try:
-                top[key] = caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-        else:
-            if key not in _GRID_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown grid key {key!r}")
-            if key in current:
-                raise ConfigError(f"{source}:{lineno}: duplicate grid key {key!r}")
-            caster = _GRID_KEYS[key]
-            try:
-                current[key] = tuple(caster(tok) for tok in value.replace(",", " ").split())
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-            if not current[key]:
-                raise ConfigError(f"{source}:{lineno}: grid key {key!r} has no values")
+        section, keys, what = (
+            (top, _TOP_KEYS, "key") if current is None else (current, _GRID_KEYS, "grid key")
+        )
+        if key not in keys:
+            raise ConfigError(f"{source}:{lineno}: unknown {what} {key!r}")
+        if key in section:
+            raise ConfigError(f"{source}:{lineno}: duplicate {what} {key!r}")
+        try:
+            section[key] = keys[key](value.strip()) if section is top else tuple(
+                map(keys[key], value.replace(",", " ").split())
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if section[key] == ():
+            raise ConfigError(f"{source}:{lineno}: grid key {key!r} has no values")
     if "kind" not in top:
         raise ConfigError(f"{source}: missing required key 'kind'")
     if not grids:
@@ -302,35 +286,32 @@ def _statistic(config: ExperimentConfig) -> bool:
     return config.kind != "consistency-curves"
 
 
-def _members(config: ExperimentConfig) -> list[tuple]:
-    """The distinct (q, m) members, in file order, whose raw draws a
-    distribution-shape run histograms; none for the other kinds."""
-    if config.kind != "distribution-shape":
-        return []
-    return list(dict.fromkeys((q, m) for q, m, _, _ in config.cells()))
-
-
-def _plan(config: ExperimentConfig) -> list[_Task]:
-    """One task per distinct (q, m, N) point with a feasible k, computing
-    all its feasible ks (over every grid block) from shared draws; then one
-    task per feasible (q, m) sample density."""
+def _plan(config: ExperimentConfig) -> tuple[list[_Task], list[tuple]]:
+    """The run's tasks, and every output cell once, in file order, as
+    (point, reason or None from the feasibility rule): the kind's
+    (q, m, k, N) cells, then, for distribution-shape, each distinct member's
+    sample density as cell (q, m, 0, 0), which needs sampling only. One
+    task per (q, m, N) point of the feasible cells computes all its ks
+    from shared draws; a sample density is the task with N = 0 and no ks."""
+    statistic = _statistic(config)
+    cells = [(p, infeasibility_reason(config.family, *p, statistic)) for p in config.cells()]
+    if config.kind == "distribution-shape":
+        members = dict.fromkeys((q, m, 0, 0) for q, m, _, _ in config.cells())
+        cells += [(p, infeasibility_reason(config.family, *p[:2], bridge=False)) for p in members]
     points: dict[tuple, list] = {}
-    for q, m, k, n in config.cells():
-        if infeasibility_reason(config.family, q, m, k, n, _statistic(config)) is None:
+    for (q, m, k, n), reason in cells:
+        if reason is None:
             ks = points.setdefault((q, m, n), [])
-            if k not in ks:
+            if k and k not in ks:
                 ks.append(k)
     reps = config.replications
     if config.kind == "normality-sweep":
         reps *= config.inner_batch  # replicate b*n + i is statistic i of batch b
     tasks = [
-        _Task(i, q, m, n, tuple(ks), (reps, len(ks)))
+        _Task(i, q, m, n, tuple(ks), (reps, len(ks)) if ks else (None, 3))
         for i, ((q, m, n), ks) in enumerate(points.items())
     ]
-    for q, m in _members(config):
-        if infeasibility_reason(config.family, q, m, bridge=False) is None:
-            tasks.append(_Task(len(tasks), q, m, 0, (), (None, 3)))
-    return tasks
+    return tasks, cells
 
 
 def _cost(config: ExperimentConfig, task: _Task) -> int:
@@ -343,9 +324,19 @@ def _tag(task: _Task) -> list:
     return [task.q, task.m, task.n, list(task.ks)]
 
 
-def _histogram(values: np.ndarray) -> np.ndarray:
+def _histogram(values: np.ndarray, what: str = "the values") -> np.ndarray:
     """(bins, 3) matrix of [bin_left, bin_right, density] per
-    Freedman-Diaconis bin."""
+    Freedman-Diaconis bin. numpy's bin count, range / (2 IQR n^(-1/3))
+    rounded up, is checked first: above _MAX_BINS it is a DomainError
+    naming what is binned, raised before any bin is allocated."""
+    q75, q25 = np.percentile(values, [75, 25]).tolist()
+    width = 2.0 * (q75 - q25) * values.size ** (-1.0 / 3.0)
+    bins = (float(values.max()) - float(values.min())) / width if width else 1.0
+    if bins > _MAX_BINS:
+        raise DomainError(
+            f"a Freedman-Diaconis histogram of {what} needs {np.ceil(bins):.4g} bins, "
+            f"above the cap of {_MAX_BINS}"
+        )
     counts, edges = np.histogram(values, bins="fd")
     density = counts / (counts.sum() * np.diff(edges))
     return np.column_stack((edges[:-1], edges[1:], density))
@@ -367,7 +358,7 @@ def _compute_task(config: ExperimentConfig, cache_dir: Path, task: _Task) -> Non
     else:
         rng = RngStream(config.master_seed, content_index(config.family, task.q, task.m, 0, 0))
         draws = qgauss_sample(QGaussianParams(m=task.m, q=task.q), config.draws, rng)
-        matrix = _histogram(draws[:, 0])
+        matrix = _histogram(draws[:, 0], f"the draws of the q={task.q}, m={task.m} member")
     payload = {"point": _tag(task), "matrix": matrix.tolist()}
     _write_atomic(_cell_path(cache_dir, task), json.dumps(payload))
 
@@ -387,11 +378,19 @@ def _row(config: ExperimentConfig, name: str, point, **values) -> list:
 
 def _reduce(config: ExperimentConfig, point, values) -> dict:
     """One cell's {filename: rows}, from its replicate column (statistics Q,
-    or estimates h_hat for consistency curves); values None marks an
-    infeasible cell with one row in the kind's marker file."""
+    or estimates h_hat for consistency curves) or, for a sample density
+    cell (q, m, 0, 0), its histogram; values None marks an infeasible cell
+    with one row in its marker file."""
     kind = config.kind
+    name = "shape_sample_density.csv" if point[2] == 0 else KINDS[kind]
     if values is None:
-        return {KINDS[kind]: [_row(config, KINDS[kind], point)]}
+        return {name: [_row(config, name, point)]}
+    if point[2] == 0:
+        return {name: [
+            _row(config, name, point, bin_left=left, bin_right=right, density=dens,
+                 log_density=math.log(dens) if dens > 0 else float("nan"))
+            for left, right, dens in values.tolist()
+        ]}
     if kind == "critical-values":
         crit = empirical_quantile(values, 1.0 - config.alpha)
         return {"critical_values.csv": [_row(config, "critical_values.csv", point, crit=crit)]}
@@ -408,7 +407,8 @@ def _reduce(config: ExperimentConfig, point, values) -> dict:
         row = _row(config, "consistency.csv", point, mean_h=mean, std_h=std, h_true=h_true)
         return {"consistency.csv": [row]}
     m_out = config.replications  # distribution-shape
-    standardized = np.sort((values - mean) / std)
+    with np.errstate(invalid="ignore"):  # M equal values have no standard form: nan
+        standardized = np.sort((values - mean) / std)
     quantiles = ndtri((np.arange(1, m_out + 1) - 0.5) / m_out)
     return {
         "shape_statistics.csv": [
@@ -417,7 +417,7 @@ def _reduce(config: ExperimentConfig, point, values) -> dict:
         ],
         "shape_stat_density.csv": [
             _row(config, "shape_stat_density.csv", point, bin_left=a, bin_right=b, density=d)
-            for a, b, d in _histogram(values).tolist()
+            for a, b, d in _histogram(values, f"the statistics Q at {point}").tolist()
         ],
         "shape_stat_qq.csv": [
             _row(config, "shape_stat_qq.csv", point, i=i + 1, standardized_q=float(s),
@@ -525,12 +525,11 @@ def _read_cell(task: _Task, path: Path, computed: bool = False) -> dict | None:
     return None
 
 
-def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path):
-    """The plan's tasks and their matrices, each read from its cell file.
-    Cell files the plan does not name are deleted and valid ones reused;
-    the pending tasks run largest first, so the longest one does not run
-    alone at the end, and each writes its cell file when it finishes."""
-    tasks = _plan(config)
+def _run_tasks(config: ExperimentConfig, tasks: list, workers: int, cache_dir: Path) -> list:
+    """The plan's tasks' matrices, each read from its cell file. Cell
+    files the plan does not name are deleted and valid ones reused; the
+    pending tasks run largest first, so the longest one does not run alone
+    at the end, and each writes its cell file when it finishes."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     planned = {_cell_path(cache_dir, task) for task in tasks}
     for path in cache_dir.glob("task-*.json"):
@@ -543,7 +542,7 @@ def _run_tasks(config: ExperimentConfig, workers: int, cache_dir: Path):
     deterministic_map(partial(_compute_task, config, cache_dir), pending, workers)
     for task in pending:
         payloads[task.index] = _read_cell(task, _cell_path(cache_dir, task), computed=True)
-    return tasks, [np.array(payloads[t.index]["matrix"], dtype=float) for t in tasks]
+    return [np.array(payloads[t.index]["matrix"], dtype=float) for t in tasks]
 
 
 def _fmt(value) -> str:
@@ -621,37 +620,23 @@ def read_critical_value(path, q: float, m: int, k: int, n: int, alpha: float) ->
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     """Run the configured experiment, write its files, return {name: path}."""
     out_dir = Path(out_dir)
-    tasks, matrices = _run_tasks(config, workers, out_dir / ".cells" / config.config_hash())
-    columns = {
-        (t.q, t.m, k, t.n): matrix[:, j]
+    tasks, cells = _plan(config)
+    matrices = _run_tasks(config, tasks, workers, out_dir / ".cells" / config.config_hash())
+    results = {  # a grid cell's column, or a sample density cell's histogram
+        (t.q, t.m, k, t.n): matrix[:, j] if t.ks else matrix
         for t, matrix in zip(tasks, matrices)
-        for j, k in enumerate(t.ks)
+        for j, k in enumerate(t.ks or (0,))
     }
-    densities = {(t.q, t.m): matrix for t, matrix in zip(tasks, matrices) if not t.ks}
 
     files: dict[str, list] = {}
     infeasible = []
-    for point in config.cells():
-        reason = infeasibility_reason(config.family, *point, _statistic(config))
+    for point, reason in cells:
         if reason:
             infeasible.append(dict(zip(("q", "m", "k", "N"), point), reason=reason))
-        for name, rows in _reduce(config, point, columns.get(point)).items():
+        for name, rows in _reduce(config, point, None if reason else results[point]).items():
             files.setdefault(name, []).extend(rows)
     if config.kind == "convergence":
-        files["regression.csv"] = _regression_rows(config, columns)
-    for q, m in _members(config):
-        name, point = "shape_sample_density.csv", (q, m, 0, 0)
-        reason = infeasibility_reason(config.family, q, m, bridge=False)
-        if reason:
-            infeasible.append({"q": q, "m": m, "k": 0, "N": 0, "reason": reason})
-            files.setdefault(name, []).append(_row(config, name, point))
-            continue
-        for left, right, dens in densities[q, m].tolist():
-            log_density = math.log(dens) if dens > 0 else float("nan")
-            files.setdefault(name, []).append(_row(
-                config, name, point, bin_left=left, bin_right=right, density=dens,
-                log_density=log_density,
-            ))
+        files["regression.csv"] = _regression_rows(config, results)
 
     paths = {}
     for name in _HEADERS:

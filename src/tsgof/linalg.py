@@ -126,16 +126,24 @@ def sample_moments(samples) -> tuple[np.ndarray, np.ndarray]:
     entry is math.fsum's, through one exact_sums call for all means and
     one for all covariance entries, so no result depends on row order or
     on the other samples of the stack. N < 2 or a non-finite entry raises
-    DomainError as as_sample_matrix does. The covariances are not checked
-    for positive definiteness.
+    DomainError as as_sample_matrix does, and so does a sum, difference
+    or product that overflows float64. The covariances are not checked for
+    positive definiteness.
     """
     b, n, m = samples.shape
     columns = np.ascontiguousarray(samples.transpose(0, 2, 1))  # one row per column
     as_sample_matrix(columns.reshape(b * m, n).T)  # its N and finite checks, once for the stack
-    mean = exact_sums(columns.reshape(b * m, n)).reshape(b, m) / n
-    centered = columns - mean[:, :, None]
     i, j = np.triu_indices(m)
-    upper = exact_sums((centered[:, i] * centered[:, j]).reshape(-1, n)).reshape(b, -1) / (n - 1)
+    try:
+        mean = exact_sums(columns.reshape(b * m, n)).reshape(b, m) / n
+        with np.errstate(over="ignore"):  # refused below, not warned about
+            centered = columns - mean[:, :, None]
+            products = (centered[:, i] * centered[:, j]).reshape(-1, n)
+        if not np.isfinite(products).all():
+            raise OverflowError("a covariance product is not finite")
+        upper = exact_sums(products).reshape(b, -1) / (n - 1)
+    except OverflowError as exc:
+        raise DomainError(f"sample moments overflow float64: {exc}") from exc
     cov = np.empty((b, m, m))
     cov[:, i, j] = upper
     cov[:, j, i] = upper

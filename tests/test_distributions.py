@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +342,42 @@ class TestQGaussSample:
         a = qgauss_sample(params, 50, RngStream(36, 4))
         b = qgauss_sample(params, 50, RngStream(36, 4))
         assert np.array_equal(a, b)
+
+
+class TestOverflowingDraws:
+    # a radius past float64 (nu near 0 for t1, s near 0 for GG) would give
+    # inf and nan rows, after numpy RuntimeWarnings
+    @pytest.mark.parametrize(
+        "sample, params, n, message",
+        [
+            (qgauss_sample, QGaussianParams(m=2, q=1.9999), 2000,
+             "q-Gaussian q=1.9999, m=2 draws overflow float64: 1861 of 2000 are not finite"),
+            (qgauss_sample, QGaussianParams(m=1, q=2.999999999), 50,
+             "q-Gaussian q=2.999999999, m=1 draws overflow float64: 50 of 50 are not finite"),
+            (gg_sample, GGParams(m=2, s=0.005), 100,
+             "generalized Gaussian s=0.005, m=2 draws overflow float64: 100 of 100 are not finite"),
+        ],
+        ids=["qgauss-m2", "qgauss-m1", "gg"],
+    )
+    def test_refused_without_a_warning(self, sample, params, n, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError) as err:
+                sample(params, n, RngStream(1))
+        assert str(err.value) == message
+        assert caught == []
+
+    def test_finite_draws_are_the_radial_construction(self):
+        # the shared tail changes no bit of a finite draw
+        sigma = SymPDMatrix([[2.0, 0.3], [0.3, 1.0]])
+        params = QGaussianParams(m=2, q=1.5, mu=[1.0, -2.0], sigma=sigma)
+        gen = RngStream(3).generator
+        z = gen.standard_normal((500, 2))
+        w = gen.chisquare(params.nu, size=500)
+        c = math.sqrt(2.0 / (params.nu * 0.5))
+        radial = c * z / np.sqrt(w / params.nu)[:, None]
+        expected = params.mu + radial @ sigma.cholesky_factor.T
+        assert qgauss_sample(params, 500, RngStream(3)).tobytes() == expected.tobytes()
 
 
 class TestClosedFormProperties:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,10 +252,17 @@ class TestNullReplicates:
         for j in (1, 5, 8, 11):
             assert whole == run(range(j)) + run(range(j, 12))
 
+    REFUSED = "q-Gaussian q=1.2, m=2 draws overflow float64: 1 of 80 are not finite"
+
+    @staticmethod
+    def refuse(x):
+        raise DomainError(TestNullReplicates.REFUSED)
+
     FAULTS = {
         "duplicate": lambda x: x.__setitem__(1, x[0]),
         "rank-1": lambda x: x.__setitem__((slice(None), 1), 2.0 * x[:, 0]),
         "non-finite": lambda x: x.__setitem__((0, 0), math.inf),
+        "refused": refuse,  # what the sampler raises for a draw that overflows
     }
 
     @pytest.mark.parametrize(
@@ -268,8 +276,14 @@ class TestNullReplicates:
             ({3: "duplicate", 5: "rank-1"}, DegenerateSampleError, None),
             ({1: "rank-1", 2: "non-finite"}, NotPositiveDefiniteError, None),
             ({1: "non-finite", 2: "rank-1"}, DomainError, "sample matrix entries must be finite"),
+            ({5: "refused"}, DomainError, REFUSED),
+            ({3: "duplicate", 5: "refused"}, DegenerateSampleError, None),
+            ({3: "refused", 5: "rank-1"}, DomainError, REFUSED),
         ],
-        ids=["duplicate", "rank-1", "duplicate-first", "rank-1-first", "non-finite-first"],
+        ids=[
+            "duplicate", "rank-1", "duplicate-first", "rank-1-first", "non-finite-first",
+            "refused", "duplicate-before-refused", "refused-first",
+        ],
     )
     def test_first_bad_draw_raises_as_alone(self, monkeypatch, planted, error, message):
         # the moments of a whole block come before any draw's Cholesky, yet
@@ -290,6 +304,15 @@ class TestNullReplicates:
         assert type(err.value) is error
         if message is not None:
             assert str(err.value) == message
+
+    def test_overflowing_null_draws_refused_without_a_warning(self):
+        # nu = 2/(q-1) - m is 2e-4 here, so most radii overflow float64
+        streams = (RngStream(1, r) for r in range(20))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"^q-Gaussian q=1\.9999, m=2 draws overflow"):
+                null_replicates(50, 2, (2,), 1.9999, "t1", streams, statistic=False)
+        assert caught == []
 
     def test_estimates_need_no_covariance_bridge(self):
         # q=1.5 at m=2 has no covariance, but it can be drawn and estimated

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import multiprocessing
@@ -10,7 +11,7 @@ import pytest
 
 from tsgof import harness
 from tsgof.distributions import QGaussianParams, qgauss_sample
-from tsgof.errors import ConfigError
+from tsgof.errors import ConfigError, DomainError
 from tsgof.gof import infeasibility_reason
 from tsgof.harness import (
     ExperimentConfig,
@@ -55,7 +56,7 @@ def _wait_for_smaller_cells(config, cache_dir, task):
     # module level, so a pool can pickle it: task 0, the largest, is
     # submitted first and finishes only once tasks 1-3 have their cell files
     if task.index == 0:
-        others = [harness._cell_path(cache_dir, t) for t in harness._plan(config)[1:]]
+        others = [harness._cell_path(cache_dir, t) for t in harness._plan(config)[0][1:]]
         deadline = time.monotonic() + 5.0
         while not all(path.exists() for path in others):
             if time.monotonic() > deadline:
@@ -105,6 +106,9 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+INVALID_INT = "invalid literal for int() with base 10: "
 
 
 class TestConfigParsing:
@@ -163,6 +167,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config("kind = convergence\nmaster_seed = xyz\n[grid]\nq=1.2\nm=1\nk=1\nN=50\n")
         assert ":2:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["bogus = 3"], "<config>:2: unknown key 'bogus'"),
+            (["kind = shape"], "<config>:2: duplicate key 'kind'"),
+            (["M = 2.5"], f"<config>:2: bad value for 'M': {INVALID_INT}'2.5'"),
+            (["[grid]", "j = 2"], "<config>:3: unknown grid key 'j'"),
+            (["[grid]", "q = 1.2", "q = 1.3"], "<config>:4: duplicate grid key 'q'"),
+            (["[grid]", "m = 1 x"], f"<config>:3: bad value for 'm': {INVALID_INT}'x'"),
+            (["[grid]", "N = , "], "<config>:3: grid key 'N' has no values"),
+        ],
+    )
+    def test_key_errors_name_section_and_line(self, lines, message):
+        # the top-level and [grid] sections share one check, with these messages
+        text = "\n".join(["kind = convergence", *lines, "[grid]", "q=1.2", "m=1", "k=1", "N=50"])
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
 
     def test_comma_separated_values(self):
         config = parse_config(
@@ -349,7 +372,7 @@ class TestPlan:
                 GridBlock(qs=(1.2,), ms=(2,), ks=(2, 4), ns=(60, 90, 60)),
             )
         )
-        tasks = harness._plan(config)
+        tasks = harness._plan(config)[0]
         assert [t.index for t in tasks] == list(range(len(tasks)))
         points = [(t.q, t.m, t.n) for t in tasks]
         assert len(points) == len(set(points)) == 3 * 2 + 1
@@ -361,6 +384,42 @@ class TestPlan:
         assert tasks[points.index((1.2, 2, 60))].ks == (1, 2, 3, 4)
         for task in tasks:
             assert task.shape == (config.replications, len(task.ks))
+
+    def test_cells_in_file_order_grid_cells_then_members(self, tmp_path):
+        # (1.5, 2) is past the covariance bridge but can be sampled, (2.5, 2)
+        # is not normalizable, and member (1.2, 2) is in both blocks
+        config = tiny_config(
+            kind="distribution-shape",
+            grids=(
+                GridBlock(qs=(1.2, 1.5, 2.5), ms=(2,), ks=(1,), ns=(60,)),
+                GridBlock(qs=(1.2,), ms=(2,), ks=(2,), ns=(60,)),
+            ),
+            replications=20,
+            draws=2000,
+        )
+        paths = run_experiment(config, out_dir=tmp_path, workers=1)
+        manifest = json.loads(paths["distribution_shape_manifest.json"].read_text())
+        bridge = "covariance bridge requires q < 1 + 2/(m+2) = 1.5 for m=2, got q=1.5"
+        unnormalizable = "not normalizable: requires q < 1 + 2/m = 2.0 for m=2, got q=2.5"
+        assert manifest["infeasible_cells"] == [
+            {"q": 1.5, "m": 2, "k": 1, "N": 60, "reason": bridge},
+            {"q": 2.5, "m": 2, "k": 1, "N": 60, "reason": unnormalizable},
+            {"q": 2.5, "m": 2, "k": 0, "N": 0, "reason": unnormalizable},
+        ]
+        stats = paths["shape_statistics.csv"].read_text().splitlines()
+        assert stats[21:23] == [
+            "1.5,2,1,60,infeasible,infeasible,20,7",
+            "2.5,2,1,60,infeasible,infeasible,20,7",
+        ]
+        assert [line.split(",")[:5] for line in stats[1:21] + stats[23:]] == [
+            ["1.2", "2", k, "60", str(rep)] for k in "12" for rep in range(20)
+        ]
+        density = csv_rows(paths["shape_sample_density.csv"])
+        assert [key for key, _ in itertools.groupby(row[:2] for row in density)] == [
+            [1.2, 2], [1.5, 2], [2.5, 2]
+        ]
+        assert density[-1] == [2.5, 2, 2000, *["infeasible"] * 4, 7]
+        assert all("infeasible" not in row for row in density[:-1])
 
     @pytest.mark.parametrize(
         "kind, order",
@@ -389,7 +448,7 @@ class TestPlan:
         monkeypatch.setattr(harness, "_compute_task", recording)
         run_experiment(config, out_dir=tmp_path / "largest-first", workers=1)
         assert calls == order
-        costs = [harness._cost(config, task) for task in harness._plan(config)]
+        costs = [harness._cost(config, task) for task in harness._plan(config)[0]]
         assert all(
             costs[a] > costs[b] or (costs[a] == costs[b] and a < b)
             for a, b in zip(order, order[1:])
@@ -496,7 +555,7 @@ class TestCellValidation:
     @pytest.fixture(scope="class")
     def computed(self, tmp_path_factory):
         config = tiny_config(grids=(GridBlock(qs=(1.2, 1.5), ms=(2,), ks=(1, 2), ns=(60,)),))
-        tasks = harness._plan(config)
+        tasks = harness._plan(config)[0]
         cells = tmp_path_factory.mktemp("cells")
         for task in tasks:
             harness._compute_task(config, cells, task)
@@ -517,7 +576,7 @@ class TestCellValidation:
             replications=20,
             draws=5000,
         )
-        task = harness._plan(config)[-1]
+        task = harness._plan(config)[0][-1]
         harness._compute_task(config, tmp_path, task)
         payload = json.loads(harness._cell_path(tmp_path, task).read_text())
         assert (task.n, task.ks, task.shape) == (0, (), (None, 3))
@@ -649,6 +708,38 @@ class TestDistributionShape:
         rows = files["shape_sample_density.csv"]
         mass = sum((r[4] - r[3]) * r[5] for r in rows)
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_histogram_refuses_too_many_bins_before_allocating(self):
+        # numpy's rule asks for about 2.3e300 bins here
+        values = np.r_[np.linspace(-1, 1, 99), 1e300]
+        message = r"needs 2\.297e\+300 bins, above the cap of 4194304$"
+        with pytest.raises(DomainError, match=message):
+            harness._histogram(values)
+
+    def test_bin_cap_is_numpy_count(self, monkeypatch):
+        values = qgauss_sample(QGaussianParams(m=1, q=1.5), 2000, RngStream(12))[:, 0]
+        bins = len(np.histogram_bin_edges(values, bins="fd")) - 1
+        monkeypatch.setattr(harness, "_MAX_BINS", bins)
+        assert len(harness._histogram(values, "the q=1.5, m=1 draws")) == bins
+        monkeypatch.setattr(harness, "_MAX_BINS", bins - 1)
+        with pytest.raises(DomainError) as err:
+            harness._histogram(values, "the q=1.5, m=1 draws")
+        assert str(err.value) == (
+            f"a Freedman-Diaconis histogram of the q=1.5, m=1 draws needs {bins} bins, "
+            f"above the cap of {bins - 1}"
+        )
+
+    def test_member_needing_too_many_bins_fails_the_run(self, tmp_path):
+        config = tiny_config(
+            kind="distribution-shape",
+            grids=(GridBlock(qs=(1.9,), ms=(2,), ks=(2,), ns=(60,)),),
+            replications=20,
+            draws=5000,
+        )
+        message = r"^a Freedman-Diaconis histogram of the draws of the q=1\.9, m=2 member needs"
+        with pytest.raises(DomainError, match=message):
+            run_experiment(config, out_dir=tmp_path, workers=1)
+        assert [p.name for p in tmp_path.iterdir()] == [".cells"]
 
     @pytest.mark.parametrize("q, m", [(1.5, 1), (1.9, 1), (0.5, 3)])
     def test_histogram_equals_edges_then_counts(self, q, m):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ class TestSampleMeanCov:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             as_sample_matrix([[1.0, np.inf], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "rows, cause",
+        [
+            # a column sum past float64: math.fsum raised OverflowError
+            ([[1.7e308, 1.0], [1.6e308, 2.0], [1.5e308, 0.0]], "intermediate overflow in fsum"),
+            # an inf and a -inf covariance product: math.fsum raised ValueError
+            ([[1e300, 1e300], [1.0, 0.0], [1e300, 2.5], [0.5, 0.5]],
+             "a covariance product is not finite"),
+            # a squared deviation past float64: inf covariance and a RuntimeWarning
+            ([[1e300, 0.0], [0.5, 1.0], [-1.0, 3.0]], "a covariance product is not finite"),
+        ],
+        ids=["sum", "mixed-products", "square"],
+    )
+    def test_overflow_is_a_domain_error_without_a_warning(self, rows, cause):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError) as err:
+                sample_moments(np.array([rows]))
+        assert str(err.value) == f"sample moments overflow float64: {cause}"
+        assert caught == []
 
 
 class TestMahalanobis:
