@@ -18,12 +18,11 @@ _EXPORTS = {
         "NotPositiveDefiniteError",
     ),
     "mathcore": ("RngStream", "draw_gamma", "log_gamma", "unit_ball_volume"),
-    "linalg": ("SymPDMatrix", "as_sample_matrix", "cholesky", "log_det", "mahalanobis_sq"),
+    "linalg": ("SymPDMatrix", "as_sample_matrix", "cholesky", "log_det"),
     "distributions": (
-        "GGParams", "QGaussianParams", "gg_covariance", "gg_log_pdf", "gg_norm_const",
-        "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale",
-        "qgauss_covariance", "qgauss_covariance_factor", "qgauss_log_pdf", "qgauss_norm_const",
-        "qgauss_q_integral", "qgauss_sample", "qgauss_tsallis_entropy", "tsallis_entropy_uniform",
+        "GGParams", "QGaussianParams", "gg_q_integral", "gg_sample", "gg_tsallis_entropy",
+        "gg_variance_scale", "qgauss_covariance_factor", "qgauss_q_integral", "qgauss_sample",
+        "qgauss_tsallis_entropy",
     ),
     "knn": ("knn_distances",),
     "entropy": (

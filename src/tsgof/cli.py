@@ -22,6 +22,7 @@ it); a process that already loaded numpy keeps its environment.
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -139,8 +140,14 @@ def _cmd_sample(args) -> int:
 
 
 def _print_record(record) -> None:
-    """Print a result record's fields in order as one JSON object, with n as N."""
-    print(json.dumps({"N" if name == "n" else name: v for name, v in asdict(record).items()}))
+    """Print a result record's fields in order as one JSON object, with n as
+    N. A float field that is not finite (an estimate or statistic past
+    float64) raises DomainError: JSON has no value for it."""
+    fields = {"N" if name == "n" else name: v for name, v in asdict(record).items()}
+    for name, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} = {value} is not finite: it overflows float64")
+    print(json.dumps(fields))
 
 
 def _cmd_entropy(args) -> int:

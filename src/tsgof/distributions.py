@@ -14,8 +14,8 @@ Both are elliptical. Conventions used throughout:
   Student-t with dof = 2/(q-1) - m, normalizable only while that dof is
   positive (q < 1 + 2/m). The covariance, when it exists
   (q < 1 + 2/(m+2)), equals qgauss_covariance_factor(m, q) * Sigma on both
-  branches. q = 1 is admitted as the Gaussian limit for sampling and
-  density evaluation; the order-q entropy functions require q != 1.
+  branches. q = 1 is admitted as the Gaussian limit for sampling only;
+  the order-q entropy functions require q != 1.
 
 Closed-form q-integrals (integral of f^q) and Tsallis entropies
 H_q = (integral(f^q) - 1) / (1 - q) come from the radial Beta reduction and
@@ -29,10 +29,8 @@ import numpy as np
 from scipy.special import betaln, gammaln
 
 from .errors import DomainError, InfeasibleModelError
-from .linalg import SymPDMatrix, mahalanobis_sq
+from .linalg import SymPDMatrix
 from .mathcore import RngStream, draw_gamma
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _as_location(vec, m: int, name: str) -> np.ndarray:
@@ -114,30 +112,6 @@ class QGaussianParams:
 # ---------------------------------------------------------------------------
 
 
-def _gg_log_norm_const(m: int, s: float, log_det_sigma: float) -> float:
-    # C(m, s, Sigma) = pi^(m/2) Gamma(m/s + 1) 2^(m/s) sqrt(det Sigma) / Gamma(m/2 + 1)
-    return (
-        0.5 * m * math.log(math.pi)
-        + gammaln(m / s + 1.0)
-        + (m / s) * math.log(2.0)
-        + 0.5 * log_det_sigma
-        - gammaln(0.5 * m + 1.0)
-    )
-
-
-def gg_norm_const(m: int, s: float, sigma=None) -> float:
-    """Normalization constant C(m, s, Sigma) of the generalized Gaussian density."""
-    params = GGParams(m=m, s=s, sigma=sigma)
-    return math.exp(_gg_log_norm_const(params.m, params.s, params.sigma.log_det))
-
-
-def gg_log_pdf(x, params: GGParams) -> float:
-    """Log-density of the generalized Gaussian at point x."""
-    h = mahalanobis_sq(x, params.alpha, params.sigma)
-    log_c = _gg_log_norm_const(params.m, params.s, params.sigma.log_det)
-    return -log_c - 0.5 * h ** (params.s / 2.0)
-
-
 def gg_variance_scale(m: int, s: float) -> float:
     """Scale factor beta(m, s) with Var(X) = beta * Sigma."""
     if int(m) != m or m < 1:
@@ -189,8 +163,16 @@ def gg_sample(params: GGParams, n: int, rng: RngStream) -> np.ndarray:
 
 def _gg_log_q_integral(m: int, s: float, log_det_sigma: float, q: float) -> float:
     # integral of f^q = C(m, s, Sigma)^(1-q) * q^(-m/s), by substituting
-    # w = q^(1/s) y in the standardized integral.
-    return (1.0 - q) * _gg_log_norm_const(m, s, log_det_sigma) - (m / s) * math.log(q)
+    # w = q^(1/s) y in the standardized integral, with the normalizer
+    # C(m, s, Sigma) = pi^(m/2) Gamma(m/s + 1) 2^(m/s) sqrt(det Sigma) / Gamma(m/2 + 1)
+    log_c = (
+        0.5 * m * math.log(math.pi)
+        + gammaln(m / s + 1.0)
+        + (m / s) * math.log(2.0)
+        + 0.5 * log_det_sigma
+        - gammaln(0.5 * m + 1.0)
+    )
+    return (1.0 - q) * log_c - (m / s) * math.log(q)
 
 
 def _check_order(q: float):
@@ -213,11 +195,6 @@ def gg_tsallis_entropy(m: int, s: float, sigma, q: float) -> float:
     params = GGParams(m=m, s=s, sigma=sigma)
     log_iq = _gg_log_q_integral(params.m, params.s, params.sigma.log_det, q)
     return math.expm1(log_iq) / (1.0 - q)
-
-
-def gg_covariance(params: GGParams) -> SymPDMatrix:
-    """Covariance matrix of the generalized Gaussian: beta(m, s) * Sigma."""
-    return params.sigma.scaled(gg_variance_scale(params.m, params.s))
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +228,6 @@ def _qgauss_log_radial(m: int, q: float, exponent_num: float) -> float:
             f"i.e. q < {1.0 + 2.0 * exponent_num / m} for m={m}, got q={q}"
         )
     return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p - 0.5 * m)
-
-
-def _qgauss_log_norm_const(params: QGaussianParams) -> float:
-    m, q = params.m, params.q
-    if q == 1:
-        return -0.5 * m * _LOG_2PI - 0.5 * params.sigma.log_det
-    log_total = (
-        0.5 * params.sigma.log_det + _log_sphere_area(m) + _qgauss_log_radial(m, q, 1.0)
-    )
-    return -log_total
-
-
-def qgauss_norm_const(params: QGaussianParams) -> float:
-    """Normalizing multiplier C_q of the q-Gaussian density."""
-    return math.exp(_qgauss_log_norm_const(params))
-
-
-def qgauss_log_pdf(x, params: QGaussianParams) -> float:
-    """Log-density at x; -inf outside the support on the compact branch."""
-    h = mahalanobis_sq(x, params.mu, params.sigma)
-    log_c = _qgauss_log_norm_const(params)
-    q = params.q
-    if q == 1:
-        return log_c - 0.5 * h
-    bracket = 1.0 - 0.5 * (1.0 - q) * h
-    if bracket <= 0.0:
-        return -math.inf
-    return log_c + math.log(bracket) / (1.0 - q)
 
 
 def _qgauss_log_q_integral_of(m: int, q: float):
@@ -328,11 +277,6 @@ def qgauss_covariance_factor(m: int, q: float) -> float:
     return 2.0 / (2.0 + (1.0 - q) * (m + 2.0))
 
 
-def qgauss_covariance(params: QGaussianParams) -> SymPDMatrix:
-    """Covariance matrix of the q-Gaussian, when it exists."""
-    return params.sigma.scaled(qgauss_covariance_factor(params.m, params.q))
-
-
 @np.errstate(all="ignore")
 def qgauss_sample(params: QGaussianParams, n: int, rng: RngStream) -> np.ndarray:
     """Exact draws via the elliptical radial representations.
@@ -364,16 +308,3 @@ def qgauss_sample(params: QGaussianParams, n: int, rng: RngStream) -> np.ndarray
         radial = c * z / np.sqrt(w / nu)[:, None]
     return _affine_draws("q-Gaussian q={p.q}, m={p.m}", params, params.mu, radial)
 
-
-# ---------------------------------------------------------------------------
-# reference values for simple supports
-# ---------------------------------------------------------------------------
-
-
-def tsallis_entropy_uniform(volume: float, q: float) -> float:
-    """Tsallis entropy of the uniform density on a support of given volume."""
-    if not (volume > 0):
-        raise DomainError(f"volume must be positive, got {volume!r}")
-    _check_order(q)
-    # integral of f^q = volume^(1-q)
-    return math.expm1((1.0 - q) * math.log(volume)) / (1.0 - q)

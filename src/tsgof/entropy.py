@@ -72,7 +72,8 @@ def lps_block(n: int, m: int, ks: tuple, q: float):
     k-1 gives each k its distances, and the duplicate check: for q > 1 a
     zero distance makes the estimate infinite and raises
     DegenerateSampleError. One exact_sums call then sums the terms of every
-    k of every sample. The ks must be integers with n > k.
+    k of every sample; a sum that overflows float64 raises DomainError.
+    The ks must be integers with n > k.
     """
     columns = [k - 1 for k in ks]
     log_scales = np.array(
@@ -89,9 +90,17 @@ def lps_block(n: int, m: int, ks: tuple, q: float):
                     "duplicate points give zero neighbor distances, undefined for q > 1 "
                     "(remove or perturb the duplicates, or use q < 1)"
                 )
-        with np.errstate(divide="ignore"):  # rho == 0 -> log -inf -> exact 0 term (q < 1)
+        # rho == 0 -> log -inf -> exact 0 term (q < 1); an overflowing term
+        # or sum is refused below, not warned about
+        with np.errstate(divide="ignore", over="ignore"):
             powers = np.exp((1.0 - q) * (log_scales[:, None] + m * np.log(rho)))
-        return exact_sums(powers.reshape(-1, n)).reshape(rho.shape[:2]) / n
+        try:
+            sums = exact_sums(powers.reshape(-1, n))
+        except OverflowError as exc:
+            raise DomainError(f"estimator terms overflow float64: {exc}") from exc
+        if not np.isfinite(sums).all():
+            raise DomainError("estimator terms overflow float64: a sum is not finite")
+        return sums.reshape(rho.shape[:2]) / n
 
     return evaluate
 

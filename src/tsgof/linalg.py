@@ -1,5 +1,5 @@
-"""Small dense symmetric-matrix operations: Cholesky, log-determinant,
-Mahalanobis forms, and sample moments.
+"""Small dense symmetric-matrix operations: Cholesky, log-determinant and
+sample moments.
 
 Matrices here are tiny (dimension ~10 at most), so the Cholesky is the
 classic unpivoted algorithm with an explicit pivot threshold; that keeps
@@ -13,7 +13,6 @@ and one for the covariance entries.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NotPositiveDefiniteError
 from .mathcore import exact_sums
@@ -57,11 +56,6 @@ class SymPDMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def scaled(self, factor: float) -> "SymPDMatrix":
-        if not (factor > 0):
-            raise DomainError("scale factor must be positive")
-        return SymPDMatrix(self.entries * factor)
 
     @classmethod
     def identity(cls, m: int) -> "SymPDMatrix":
@@ -149,16 +143,3 @@ def sample_moments(samples) -> tuple[np.ndarray, np.ndarray]:
     cov[:, j, i] = upper
     return mean, cov
 
-
-def mahalanobis_sq(x, mu, a) -> float:
-    """(x - mu)^T A^{-1} (x - mu) via triangular solves against A's Cholesky factor."""
-    if not isinstance(a, SymPDMatrix):
-        a = SymPDMatrix(a)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if x.shape[0] != a.dim or mu.shape[0] != a.dim:
-        raise DomainError(
-            f"dimension mismatch: x has {x.shape[0]}, mu has {mu.shape[0]}, matrix has {a.dim}"
-        )
-    z = solve_triangular(a.cholesky_factor, x - mu, lower=True, check_finite=False)
-    return float(z @ z)

@@ -1,10 +1,14 @@
 """Independent numerical oracles shared by the tests.
 
-These integrate the model densities (and their q-th powers) by adaptive
-quadrature, without touching the closed-form q-integral formulas under
-test. The density route itself is pinned by the normalization checks
-(integral of exp(log_pdf) must be 1), so together the two checks validate
-both the normalization constants and the q-integral algebra.
+The model log-densities are stated here, apart from the package: their
+normalizing constants are the textbook Gamma-function forms written with
+math.lgamma, the determinant comes from np.linalg.slogdet and the
+quadratic form from np.linalg.solve, so none of them shares the radial
+Beta reduction or the Cholesky of the closed forms under test. The
+quadrature oracles integrate these densities (and their q-th powers), and
+the normalization checks (integral of exp(log_pdf) must be 1) pin the
+densities themselves, so together the checks validate the q-integral
+algebra against an independent route.
 
 The per-sample references at the end restate the test statistic one
 sample at a time, apart from the block evaluation the package uses: the
@@ -21,9 +25,7 @@ from scipy import integrate
 from tsgof.distributions import (
     GGParams,
     QGaussianParams,
-    gg_log_pdf,
     qgauss_covariance_factor,
-    qgauss_log_pdf,
     qgauss_tsallis_entropy,
 )
 from tsgof.entropy import knn_bias_constant
@@ -35,6 +37,54 @@ from tsgof.mathcore import unit_ball_volume
 
 # cap on the scratch distance block (floats) used by the brute force
 _BRUTE_BLOCK_FLOATS = 1 << 23
+
+
+def _quadratic_form_and_half_log_det(x, loc, sigma: SymPDMatrix) -> tuple[float, float]:
+    """(x - loc)^T Sigma^{-1} (x - loc) and (1/2) log det Sigma, by numpy's
+    LAPACK solve and slogdet."""
+    d = np.asarray(x, dtype=float) - loc
+    return float(d @ np.linalg.solve(sigma.entries, d)), 0.5 * np.linalg.slogdet(sigma.entries)[1]
+
+
+def gg_log_pdf(x, params: GGParams) -> float:
+    """Log-density of the generalized Gaussian at x, with normalizer
+    C = pi^(m/2) Gamma(m/s + 1) 2^(m/s) sqrt(det Sigma) / Gamma(m/2 + 1)."""
+    m, s = params.m, params.s
+    h, half_log_det = _quadratic_form_and_half_log_det(x, params.alpha, params.sigma)
+    log_c = (
+        0.5 * m * math.log(math.pi) + math.lgamma(m / s + 1.0) + (m / s) * math.log(2.0)
+        + half_log_det - math.lgamma(0.5 * m + 1.0)
+    )
+    return -log_c - 0.5 * h ** (s / 2.0)
+
+
+def qgauss_log_pdf(x, params: QGaussianParams) -> float:
+    """Log-density of the q-Gaussian at x; -inf outside the support on the
+    compact branch. With a = 1/|1-q| and b = |1-q|/2, the integral of the
+    unnormalized kernel over the unit-shape member is
+    pi^(m/2) Gamma(a + 1) / (b^(m/2) Gamma(a + 1 + m/2)) for q < 1 and
+    pi^(m/2) Gamma(a - m/2) / (b^(m/2) Gamma(a)) for q > 1; q = 1 is the
+    normal."""
+    m, q = params.m, params.q
+    h, half_log_det = _quadratic_form_and_half_log_det(x, params.mu, params.sigma)
+    if q == 1:
+        return -0.5 * m * math.log(2.0 * math.pi) - half_log_det - 0.5 * h
+    if q < 1:
+        a = 1.0 / (1.0 - q)
+        log_mass = (
+            0.5 * m * math.log(math.pi) + math.lgamma(a + 1.0)
+            - 0.5 * m * math.log((1.0 - q) / 2.0) - math.lgamma(a + 1.0 + 0.5 * m)
+        )
+    else:
+        a = 1.0 / (q - 1.0)
+        log_mass = (
+            0.5 * m * math.log(math.pi) + math.lgamma(a - 0.5 * m)
+            - 0.5 * m * math.log((q - 1.0) / 2.0) - math.lgamma(a)
+        )
+    bracket = 1.0 - 0.5 * (1.0 - q) * h
+    if bracket <= 0.0:
+        return -math.inf
+    return -log_mass - half_log_det + math.log(bracket) / (1.0 - q)
 
 
 def _integrate_1d(f, radius):
@@ -162,7 +212,7 @@ def log_det_reference(a) -> float:
 
 def qgauss_shape_from_covariance(cov: SymPDMatrix, m: int, q: float) -> SymPDMatrix:
     """Invert the covariance/shape bridge: the Sigma whose member has covariance cov."""
-    return cov.scaled(1.0 / qgauss_covariance_factor(m, q))
+    return SymPDMatrix(cov.entries * (1.0 / qgauss_covariance_factor(m, q)))
 
 
 def null_max_entropy(sample_cov, m: int, q: float, family: str) -> float:

@@ -158,6 +158,16 @@ class TestEntropy:
         assert code == 1
         assert json.loads(err)["kind"] == "domain"
 
+    def test_non_finite_estimate_exits_domain(self, capsys, tmp_path):
+        # i_hat = 7.2e307 is finite, but h_hat = (1 - i_hat)/(q - 1) overflows
+        data = tmp_path / "far.csv"
+        data.write_text("0,0,0,0,0,0,0,0\n1.3e96,0,0,0,0,0,0,0\n")
+        code, out, err = run_cli(["entropy", "--in", str(data), "--k", "1", "--q", "0.6"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "h_hat = inf is not finite: it overflows float64", "kind": "domain"
+        }
+
     def test_header_auto_detected(self, capsys, tmp_path):
         data = tmp_path / "h.csv"
         data.write_text("x1,x2\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
@@ -653,22 +663,22 @@ class TestExperimentCommands:
 # the package's public names: those before its import became lazy, less
 # null_max_entropy, qgauss_shape_from_covariance and knn_distances_bruteforce,
 # which moved to the test oracles, sample_mean_cov, whose work sample_moments
-# does for a stack, and the critical-value table classes, whose one use
-# read_critical_value serves
+# does for a stack, the critical-value table classes, whose one use
+# read_critical_value serves, and the names only tests called: the log-pdfs,
+# which moved to the test oracles, the normalizing constants, the covariance
+# matrices, mahalanobis_sq and tsallis_entropy_uniform
 PUBLIC_NAMES = [
     "ConfigError", "ConsistencyReport", "DegenerateSampleError", "DomainError",
     "EntropyEstimate", "ExperimentConfig", "GGParams", "GridBlock", "InfeasibleModelError",
     "NotPositiveDefiniteError", "QGaussianParams", "RegressionFit", "RngStream",
     "ShapiroResult", "SymPDMatrix", "TestResult", "as_sample_matrix",
     "check_consistency_conditions", "cholesky", "distributions", "draw_gamma",
-    "empirical_quantile", "entropy", "errors", "gg_covariance", "gg_log_pdf", "gg_norm_const",
-    "gg_q_integral", "gg_sample", "gg_tsallis_entropy", "gg_variance_scale", "gof",
-    "gof_statistic", "harness", "knn", "knn_bias_constant", "knn_distances", "linalg",
-    "load_config", "log_det", "log_gamma", "mahalanobis_sq", "mathcore",
-    "ols_slope_with_offset", "parse_config", "qgauss_covariance", "qgauss_covariance_factor",
-    "qgauss_log_pdf", "qgauss_norm_const", "qgauss_q_integral", "qgauss_sample",
-    "qgauss_tsallis_entropy", "read_critical_value", "run_experiment", "run_test",
-    "shapiro_wilk", "statkit", "tsallis_entropy_uniform", "tsallis_knn_estimate",
+    "empirical_quantile", "entropy", "errors", "gg_q_integral", "gg_sample",
+    "gg_tsallis_entropy", "gg_variance_scale", "gof", "gof_statistic", "harness", "knn",
+    "knn_bias_constant", "knn_distances", "linalg", "load_config", "log_det", "log_gamma",
+    "mathcore", "ols_slope_with_offset", "parse_config", "qgauss_covariance_factor",
+    "qgauss_q_integral", "qgauss_sample", "qgauss_tsallis_entropy", "read_critical_value",
+    "run_experiment", "run_test", "shapiro_wilk", "statkit", "tsallis_knn_estimate",
     "unit_ball_volume",
 ]
 SUBMODULES = ["distributions", "entropy", "errors", "gof", "harness", "knn", "linalg",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,28 @@ class TestEstimateValidation:
         x = RngStream(62, 0).generator.random((50, 1))
         with pytest.raises(DomainError):
             tsallis_knn_estimate(x, k=1, q=1.0)
+
+    @pytest.mark.parametrize(
+        "rows, k, q, cause",
+        [
+            # finite terms near 1.5e308 whose sum overflows inside math.fsum
+            ([[0, 0], [4.9e153, 0], [-4.9e153, 0]], 1, 5e-324, "intermediate overflow in fsum"),
+            # neighbor distances past float64, so the terms are inf
+            ([[1e300, 1e300], [1, 0], [0.5, 0.5], [1e300, 2.5], [1e300, 2.5]], 2, 5e-324,
+             "a sum is not finite"),
+            # finite distances whose terms overflow in np.exp
+            ([[1e154, 3e153], [1, 0], [0.5, 0.5], [-2e153, 2.5], [7e153, -1e153], [3, 4]], 2, 1e-5,
+             "a sum is not finite"),
+        ],
+        ids=["fsum", "distances", "exp"],
+    )
+    def test_overflow_is_a_domain_error_without_a_warning(self, rows, k, q, cause):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError) as err:
+                tsallis_knn_estimate(np.array(rows, dtype=float), k=k, q=q)
+        assert str(err.value) == f"estimator terms overflow float64: {cause}"
+        assert caught == []
 
 
 class TestConsistencyConditions:

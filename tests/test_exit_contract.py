@@ -1,8 +1,9 @@
 """The exit-code contract, fuzzed: `cli.main` over generated commands.
 
-Every command exits 0, 1 or 2. On 0 stderr is empty; otherwise stderr is
-exactly one JSON line whose kind is not `internal`, stdout is empty and no
-primary output exists. No warning is raised on the way.
+Every command exits 0, 1 or 2. On 0 stderr is empty and every stdout line
+is strict JSON, with no NaN or Infinity; otherwise stderr is exactly one
+JSON line whose kind is not `internal`, stdout is empty and no primary
+output exists. No warning is raised on the way.
 """
 
 import contextlib
@@ -108,6 +109,10 @@ _COMMANDS = st.one_of(
 )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract"), itertools.count()
@@ -126,6 +131,15 @@ def workdir(tmp_path_factory):
 @example(command={"argv": ["gof", "--k", "2", "--q=5e-324", "--family", "t2", "--simulate", "3",
                            "--seed", "3"],
                   "csv": "x0,x1\n1e300,1e300\n1,0\n0.5,0.5\n1e300,2.5\n1e300,2.5\n"})
+# the same sample's neighbor distances overflow float64, so i_hat and h_hat
+# were printed as Infinity, which is not JSON
+@example(command={"argv": ["entropy", "--k", "2", "--q=5e-324"],
+                  "csv": "x0,x1\n1e300,1e300\n1,0\n0.5,0.5\n1e300,2.5\n1e300,2.5\n"})
+# here the estimator's terms overflow in np.exp: a RuntimeWarning, then a
+# statistic of -Infinity
+@example(command={"argv": ["gof", "--k", "2", "--q=1e-5", "--family", "t2", "--simulate", "3",
+                           "--seed", "3"],
+                  "csv": "x0,x1\n1e154,3e153\n1,0\n0.5,0.5\n-2e153,2.5\n7e153,-1e153\n3,4\n"})
 def test_exit_code_contract(workdir, command):
     root, counter = workdir
     case = root / f"case-{next(counter)}"
@@ -149,6 +163,8 @@ def test_exit_code_contract(workdir, command):
     assert code in (0, 1, 2)
     if code == 0:
         assert err.getvalue() == ""
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_refuse_constant)
         return
     [line] = err.getvalue().splitlines()
     error = json.loads(line)

@@ -13,7 +13,6 @@ from tsgof.linalg import (
     as_sample_matrix,
     cholesky,
     log_det,
-    mahalanobis_sq,
     sample_moments,
 )
 from tsgof.mathcore import RngStream
@@ -229,32 +228,3 @@ class TestSampleMeanCov:
                 sample_moments(np.array([rows]))
         assert str(err.value) == f"sample moments overflow float64: {cause}"
         assert caught == []
-
-
-class TestMahalanobis:
-    def test_zero_at_center(self):
-        spd = SymPDMatrix([[4.0, 2.0], [2.0, 5.0]])
-        assert mahalanobis_sq([1.5, -2.0], [1.5, -2.0], spd) == 0.0
-
-    def test_identity_matrix(self):
-        assert mahalanobis_sq([1.0, 0.0], [0.0, 0.0], SymPDMatrix.identity(2)) == pytest.approx(
-            1.0, rel=1e-14
-        )
-
-    def test_diagonal_scaling(self):
-        spd = SymPDMatrix(np.diag([4.0, 1.0]))
-        assert mahalanobis_sq([2.0, 0.0], [0.0, 0.0], spd) == pytest.approx(1.0, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            mahalanobis_sq([1.0, 2.0, 3.0], [0.0, 0.0], SymPDMatrix.identity(2))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2))
-    def test_nonnegative(self, point):
-        spd = SymPDMatrix([[2.0, 0.7], [0.7, 1.0]])
-        assert mahalanobis_sq(point, [0.3, -0.4], spd) >= 0.0
-
-    def test_positive_away_from_center(self):
-        spd = SymPDMatrix([[2.0, 0.7], [0.7, 1.0]])
-        assert mahalanobis_sq([1.0, 1.0], [0.0, 0.0], spd) > 0.0
