@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .distributions import GGParams, QGaussianParams, gg_sample, qgauss_sample
 from .entropy import tsallis_knn_estimate
-from .gof import run_test
+from .gof import FAMILIES, run_test
 from .harness import (
     _csv_text, _read_text, _write_atomic, load_config, read_critical_value, run_experiment,
 )
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gof", help="goodness-of-fit test against a q-Gaussian null")
     p.add_argument("--in", required=True, help="input CSV (rows = observations)")
-    p.add_argument("--family", choices=("t1", "t2"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.05)

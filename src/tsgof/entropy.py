@@ -114,9 +114,7 @@ def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:
     """
     a = as_sample_matrix(x)
     n, m = a.shape
-    if not (n > k):
-        raise DomainError(f"need N > k, got N={n}, k={k}")
-    knn_bias_constant(k, q)  # validates k and q before the query
+    knn_bias_constant(k, q)  # validates k and q before the query; knn refuses N <= k
     i_hat = float(lps_block(n, m, (int(k),), q)(a[None])[0, 0])
     h_hat = float((1.0 - i_hat) / (q - 1.0))
     return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)

@@ -20,9 +20,12 @@ class InfeasibleModelError(DomainError):
 class NotPositiveDefiniteError(DomainError):
     """Cholesky factorization hit a non-positive pivot."""
 
-    def __init__(self, pivot_index: int, message: str | None = None):
+    def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
-        super().__init__(message or f"matrix is not positive definite (pivot {pivot_index} <= 0)")
+        super().__init__(f"matrix is not positive definite (pivot {pivot_index} <= 0)")
+
+    def __reduce__(self):  # a pool worker's error unpickles from its pivot, not its message
+        return type(self), (self.pivot_index,)
 
 
 class DegenerateSampleError(DomainError):

@@ -75,11 +75,11 @@ def infeasibility_reason(
     Sampling needs q in (0, 1) for t2, and q in (1, 3) with q < 1 + 2/m
     (normalizability) for t1. Given k and n, the neighbor estimator also
     needs q < k + 1 and N > k. With bridge, the statistic also needs the
-    covariance, which for t1 exists only for q < 1 + 2/(m+2). The first
-    violated bound is named; harness manifests record these strings.
+    covariance (t1: q < 1 + 2/(m+2)) and, given n, a nonsingular sample
+    covariance (N > m). The first violated bound is named; manifests record it.
     """
     if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r} (expected 't1' or 't2')")
+        raise DomainError(f"unknown family {family!r} (expected one of {FAMILIES})")
     if family == "t2" and not (0.0 < q < 1.0):
         return f"family t2 requires q in (0, 1), got q={q}"
     if family == "t1" and not (1.0 < q < 3.0):
@@ -95,23 +95,17 @@ def infeasibility_reason(
             f"covariance bridge requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)} "
             f"for m={m}, got q={q}"
         )
+    if bridge and n is not None and not n > m:
+        return f"sample covariance requires N > m, got N={n}, m={m}"
     return None
 
 
-def require_feasible(
-    family: str, q: float, m: int, k: int | None = None, n: int | None = None, bridge: bool = True
-) -> None:
-    """Raise InfeasibleModelError naming the bound that infeasibility_reason finds."""
-    reason = infeasibility_reason(family, q, m, k, n, bridge)
-    if reason:
-        raise InfeasibleModelError(reason)
-
-
 def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> tuple:
-    """The ks as ints, once each is a positive integer the feasibility rule
-    accepts at (q, m, N), with the covariance bridge if statistic."""
+    """The ks as ints, once each is a positive integer that infeasibility_reason
+    accepts at (q, m, N), at its statistic stage if statistic; or InfeasibleModelError."""
     for k in ks:
-        require_feasible(family, q, m, k, n, bridge=statistic)
+        if reason := infeasibility_reason(family, q, m, k, n, bridge=statistic):
+            raise InfeasibleModelError(reason)
         knn_bias_constant(k, q)  # validates k before the query
     return tuple(int(k) for k in ks)
 

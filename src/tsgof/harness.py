@@ -115,7 +115,7 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r} (expected one of {tuple(KINDS)})"
             )
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r} (expected 't1' or 't2')")
+            raise ConfigError(f"unknown family {self.family!r} (expected one of {FAMILIES})")
         if not self.grids:
             raise ConfigError("at least one [grid] block is required")
         if not 0 <= self.master_seed <= MASK64:

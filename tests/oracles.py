@@ -29,8 +29,8 @@ from tsgof.distributions import (
     qgauss_tsallis_entropy,
 )
 from tsgof.entropy import knn_bias_constant
-from tsgof.errors import DomainError, NotPositiveDefiniteError
-from tsgof.gof import require_feasible
+from tsgof.errors import DomainError, InfeasibleModelError, NotPositiveDefiniteError
+from tsgof.gof import infeasibility_reason
 from tsgof.knn import _check_k
 from tsgof.linalg import SymPDMatrix, as_sample_matrix
 from tsgof.mathcore import unit_ball_volume
@@ -218,7 +218,8 @@ def qgauss_shape_from_covariance(cov: SymPDMatrix, m: int, q: float) -> SymPDMat
 def null_max_entropy(sample_cov, m: int, q: float, family: str) -> float:
     """Tsallis entropy of the null family member whose covariance equals
     sample_cov (via the covariance/shape bridge), in closed form."""
-    require_feasible(family, q, m)
+    if reason := infeasibility_reason(family, q, m):
+        raise InfeasibleModelError(reason)
     if not isinstance(sample_cov, SymPDMatrix):
         sample_cov = SymPDMatrix(sample_cov)
     if sample_cov.dim != m:

@@ -168,6 +168,15 @@ class TestEntropy:
             "error": "h_hat = inf is not finite: it overflows float64", "kind": "domain"
         }
 
+    def test_n_not_above_k_exits_domain(self, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text("0.0\n1.0\n")
+        code, out, err = run_cli(["entropy", "--in", str(data), "--k", "2", "--q", "0.5"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "k must be an integer in [1, N-1] = [1, 1], got 2", "kind": "domain"
+        }
+
     def test_header_auto_detected(self, capsys, tmp_path):
         data = tmp_path / "h.csv"
         data.write_text("x1,x2\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
@@ -205,6 +214,19 @@ class TestGof:
         assert result["alpha"] == 0.05
         assert isinstance(result["reject"], bool)
         assert math.isfinite(result["critical_value"])
+
+    def test_singular_sample_covariance_exits_domain(self, capsys, tmp_path):
+        # N = m = 3: the rule refuses the sample before any Cholesky pivot
+        data = tmp_path / "square.csv"
+        data.write_text("0.1,0.2,0.3\n1.0,0.5,0.2\n0.3,0.9,0.7\n")
+        code, out, err = run_cli(
+            ["gof", "--in", str(data), "--family", "t1", "--q=1.2", "--k", "1",
+             "--simulate", "10", "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "sample covariance requires N > m, got N=3, m=3", "kind": "domain"
+        }
 
     def test_table_path(self, capsys, tmp_path):
         data = self.make_data(tmp_path)

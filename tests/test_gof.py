@@ -26,7 +26,6 @@ from tsgof.gof import (
     gof_statistic,
     infeasibility_reason,
     null_replicates,
-    require_feasible,
     run_test,
 )
 from tsgof.linalg import SymPDMatrix, sample_moments
@@ -63,40 +62,50 @@ FEASIBILITY_TABLE = [
     ("t1", 1.45, 3, None, None, True,
      "covariance bridge requires q < 1 + 2/(m+2) = 1.4 for m=3, got q=1.45"),
     ("t1", 2.5, 1, 1, 100, True, "estimator requires q < k + 1 = 2, got q=2.5"),
+    ("t1", 1.2, 2, 1, 2, True, "sample covariance requires N > m, got N=2, m=2"),
+    ("t1", 1.2, 2, 1, 2, False, None),
+    ("t1", 1.2, 2, 1, 3, True, None),
+    ("t2", 0.5, 3, 1, 3, True, "sample covariance requires N > m, got N=3, m=3"),
+    ("t2", 0.5, 3, 1, 3, False, None),
+    ("t2", 0.5, 3, 1, 4, True, None),
+    # N > m is checked last: every earlier bound keeps its reason
+    ("t2", 0.5, 3, 3, 3, True, "estimator requires N > k, got N=3, k=3"),
+    ("t1", 1.45, 3, 1, 3, True,
+     "covariance bridge requires q < 1 + 2/(m+2) = 1.4 for m=3, got q=1.45"),
 ]
 
 
 class TestFamilyFeasibility:
     def test_t1_bounds(self):
-        require_feasible("t1", 1.2, 2)
-        with pytest.raises(InfeasibleModelError):
-            require_feasible("t1", 0.9, 2)
-        with pytest.raises(InfeasibleModelError) as err:
-            require_feasible("t1", 2.5, 2)
-        assert "1 + 2/m" in str(err.value)
-        with pytest.raises(InfeasibleModelError) as err:
-            require_feasible("t1", 1.7, 2)
-        assert "1 + 2/(m+2)" in str(err.value)
+        assert infeasibility_reason("t1", 1.2, 2) is None
+        assert "(1, 3)" in infeasibility_reason("t1", 0.9, 2)
+        assert "1 + 2/m" in infeasibility_reason("t1", 2.5, 2)
+        assert "1 + 2/(m+2)" in infeasibility_reason("t1", 1.7, 2)
+        assert "N > m" in infeasibility_reason("t1", 1.2, 2, 1, 2)
 
     def test_t2_bounds(self):
-        require_feasible("t2", 0.5, 3)
-        with pytest.raises(InfeasibleModelError):
-            require_feasible("t2", 1.2, 3)
+        assert infeasibility_reason("t2", 0.5, 3) is None
+        assert "(0, 1)" in infeasibility_reason("t2", 1.2, 3)
+        assert "N > m" in infeasibility_reason("t2", 0.5, 3, 1, 3)
 
     def test_reason_table(self):
-        for *case, expected in FEASIBILITY_TABLE:
-            assert infeasibility_reason(*case) == expected, case
+        # the replicate path raises the rule's reason for every point it refuses
+        for family, q, m, k, n, bridge, expected in FEASIBILITY_TABLE:
+            assert infeasibility_reason(family, q, m, k, n, bridge) == expected
+            if k is None:
+                continue
             if expected is None:
-                require_feasible(*case)
+                null_replicates(n, m, (k,), q, family, [], statistic=bridge)
                 continue
             with pytest.raises(InfeasibleModelError) as err:
-                require_feasible(*case)
+                null_replicates(n, m, (k,), q, family, [], statistic=bridge)
             assert str(err.value) == expected
 
     def test_unknown_family(self):
         with pytest.raises(DomainError) as err:
-            require_feasible("t3", 0.5, 1)
+            infeasibility_reason("t3", 0.5, 1)
         assert not isinstance(err.value, InfeasibleModelError)
+        assert str(err.value) == "unknown family 't3' (expected one of ('t1', 't2'))"
 
 
 class TestNullMaxEntropy:

@@ -11,7 +11,7 @@ import pytest
 
 from tsgof import harness
 from tsgof.distributions import QGaussianParams, qgauss_sample
-from tsgof.errors import ConfigError, DomainError
+from tsgof.errors import ConfigError, DomainError, NotPositiveDefiniteError
 from tsgof.gof import infeasibility_reason
 from tsgof.harness import (
     ExperimentConfig,
@@ -69,6 +69,11 @@ _fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="the patched task function reaches pool workers only through fork",
 )
+
+
+def _fail_at_pivot(pivot):
+    # module level, so a pool can pickle it
+    raise NotPositiveDefiniteError(pivot)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -220,6 +225,7 @@ class TestFeasibilityReasons:
     def test_statistic_bounds(self):
         assert infeasibility_reason("t1", 1.2, 2, 1, 100) is None
         assert "1 + 2/(m+2)" in infeasibility_reason("t1", 1.5, 2, 1, 100)
+        assert "N > m" in infeasibility_reason("t1", 1.2, 3, 1, 3)
 
 
 class TestCriticalValues:
@@ -244,6 +250,25 @@ class TestCriticalValues:
         assert (tmp_path / "a/critical_values.csv").read_bytes() == (
             tmp_path / "b/critical_values.csv"
         ).read_bytes()
+
+    def test_singular_sample_covariance_cells_are_infeasible(self, tmp_path):
+        # N = m = 3 gives every sample a singular covariance
+        config = tiny_config(
+            grids=(GridBlock(qs=(1.2,), ms=(2, 3), ks=(1,), ns=(3, 50)),), master_seed=1
+        )
+        for workers in (1, 2):
+            run_experiment(config, out_dir=tmp_path / f"w{workers}", workers=workers)
+        assert tree_bytes(tmp_path / "w1") == tree_bytes(tmp_path / "w2")
+        rows = csv_rows(tmp_path / "w1/critical_values.csv")
+        assert [row[:4] for row in rows] == [[1.2, 2, 1, 3], [1.2, 2, 1, 50], [1.2, 3, 1, 3],
+                                            [1.2, 3, 1, 50]]
+        assert rows[2][5] == "infeasible"
+        assert all(math.isfinite(row[5]) for row in rows[:2] + rows[3:])
+        manifest = json.loads((tmp_path / "w1/critical_values_manifest.json").read_text())
+        assert [(c["q"], c["m"], c["k"], c["N"], c["reason"])
+                for c in manifest["infeasible_cells"]] == [
+            (1.2, 3, 1, 3, "sample covariance requires N > m, got N=3, m=3")
+        ]
 
     def test_doubling_replications_moves_quantile_within_bootstrap_error(self, tmp_path):
         # doubling M from 500 to 1000 changes the critical value by less
@@ -295,6 +320,14 @@ class TestDeterministicMap:
         assert harness.deterministic_map(abs, [-3], workers=4) == [3]  # in this process
         assert harness.deterministic_map(abs, [], workers=4) == []
         assert started == [2]
+
+    def test_error_message_same_at_every_worker_count(self):
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                harness.deterministic_map(_fail_at_pivot, [2, 2], workers=workers)
+            messages.append((str(err.value), err.value.pivot_index))
+        assert messages == [("matrix is not positive definite (pivot 2 <= 0)", 2)] * 2
 
 
 class TestResumability:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -55,6 +56,12 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky(np.zeros((2, 2)))
         assert err.value.pivot_index == 0
+
+    def test_error_survives_pickling(self):
+        # how a pool worker's error reaches the parent process
+        error = pickle.loads(pickle.dumps(NotPositiveDefiniteError(2)))
+        assert type(error) is NotPositiveDefiniteError and error.pivot_index == 2
+        assert str(error) == "matrix is not positive definite (pivot 2 <= 0)"
 
     def test_random_spd_roundtrip(self):
         gen = RngStream(1, 0).generator
