@@ -182,11 +182,23 @@ def _check_order(q: float):
         raise DomainError("entropy order q = 1 is excluded (Shannon case out of scope)")
 
 
+def _from_log_q_integral(log_iq: float, name: str, q: float | None = None) -> float:
+    """I_q = exp(log_iq), or given q (I_q - 1)/(1 - q); past float64, DomainError."""
+    try:
+        value = math.exp(log_iq) if q is None else math.expm1(log_iq) / (1.0 - q)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows float64: log I_q = {log_iq:.6g}")
+    return value
+
+
 def gg_q_integral(m: int, s: float, sigma, q: float) -> float:
     """integral of f^q over R^m for the generalized Gaussian."""
     _check_order(q)
     params = GGParams(m=m, s=s, sigma=sigma)
-    return math.exp(_gg_log_q_integral(params.m, params.s, params.sigma.log_det, q))
+    log_iq = _gg_log_q_integral(params.m, params.s, params.sigma.log_det, q)
+    return _from_log_q_integral(log_iq, "generalized Gaussian q-integral")
 
 
 def gg_tsallis_entropy(m: int, s: float, sigma, q: float) -> float:
@@ -194,7 +206,7 @@ def gg_tsallis_entropy(m: int, s: float, sigma, q: float) -> float:
     _check_order(q)
     params = GGParams(m=m, s=s, sigma=sigma)
     log_iq = _gg_log_q_integral(params.m, params.s, params.sigma.log_det, q)
-    return math.expm1(log_iq) / (1.0 - q)
+    return _from_log_q_integral(log_iq, "generalized Gaussian entropy", q)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +255,8 @@ def _qgauss_log_q_integral_of(m: int, q: float):
 
 def qgauss_q_integral(params: QGaussianParams) -> float:
     """integral of f^q over R^m for the q-Gaussian."""
-    log_q_integral = _qgauss_log_q_integral_of(params.m, params.q)
-    return math.exp(log_q_integral(params.sigma.log_det))
+    log_iq = _qgauss_log_q_integral_of(params.m, params.q)(params.sigma.log_det)
+    return _from_log_q_integral(log_iq, "q-Gaussian q-integral")
 
 
 def qgauss_entropy_of_log_det(m: int, q: float):
@@ -253,7 +265,7 @@ def qgauss_entropy_of_log_det(m: int, q: float):
     Beta logs are formed once, for callers that evaluate many shape
     matrices."""
     log_q_integral = _qgauss_log_q_integral_of(m, q)
-    return lambda log_det: math.expm1(log_q_integral(log_det)) / (1.0 - q)
+    return lambda log_det: _from_log_q_integral(log_q_integral(log_det), "q-Gaussian entropy", q)
 
 
 def qgauss_tsallis_entropy(params: QGaussianParams) -> float:

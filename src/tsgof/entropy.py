@@ -10,9 +10,9 @@ h_hat = (1 - i_hat)/(q - 1). C(k, q) is the Gamma-ratio bias constant and
 V_m the unit-ball volume. The per-point terms are evaluated in log space,
 which keeps tiny neighbor distances from underflowing rho^m, and summed
 with exact rounding (`mathcore.exact_sums`), so the estimate does not
-depend on point order. `lps_block`, the one evaluation path, maps a
-stack of samples to i_hat at several k with one exact_sums call;
-`tsallis_knn_estimate` and the test statistic both go through it.
+depend on point order. `lps_block(samples, ks, q)`, the one evaluation
+path, maps a stack of samples to i_hat at several k with one exact_sums
+call; `tsallis_knn_estimate` and the test statistic both call it.
 """
 
 import math
@@ -63,46 +63,41 @@ def knn_bias_constant(k: int, q: float) -> float:
     return math.exp((log_gamma(k) - log_gamma(k + 1.0 - q)) / (1.0 - q))
 
 
-def lps_block(n: int, m: int, ks: tuple, q: float):
-    """A function from a (B, n, m) stack of samples to their (B, len(ks))
-    matrix of i_hat, at every k of ks.
+def lps_block(samples: np.ndarray, ks: tuple, q: float) -> np.ndarray:
+    """The (B, len(ks)) i_hat of a (B, n, m) stack of samples, at every k of ks.
 
-    The constant factor log[(N-1) C(k, q) V_m] of each k's terms is formed
-    here, once. Per sample come one neighbor query at max(ks), whose column
-    k-1 gives each k its distances, and the duplicate check: for q > 1 a
-    zero distance makes the estimate infinite and raises
-    DegenerateSampleError. One exact_sums call then sums the terms of every
-    k of every sample; a sum that overflows float64 raises DomainError.
-    The ks must be integers with n > k.
+    The constant factor log[(N-1) C(k, q) V_m] of each k's terms is formed once
+    per call. Per sample come one neighbor query at max(ks), whose column k-1
+    gives each k its distances, and the duplicate check: for q > 1 a zero
+    distance makes the estimate infinite and raises DegenerateSampleError. One
+    exact_sums call then sums the terms of every k of every sample; a sum that
+    overflows float64 raises DomainError. The ks must be integers with n > k.
     """
+    b, n, m = samples.shape
     columns = [k - 1 for k in ks]
     log_scales = np.array(
         [math.log(n - 1) + math.log(knn_bias_constant(k, q)) + math.log(unit_ball_volume(m))
          for k in ks]
     )
-
-    def evaluate(samples: np.ndarray) -> np.ndarray:
-        rho = np.empty((samples.shape[0], len(ks), n))
-        for j, sample in enumerate(samples):
-            rho[j] = knn_distances(sample, max(ks)).T[columns]
-            if q > 1 and np.min(rho[j]) == 0.0:
-                raise DegenerateSampleError(
-                    "duplicate points give zero neighbor distances, undefined for q > 1 "
-                    "(remove or perturb the duplicates, or use q < 1)"
-                )
-        # rho == 0 -> log -inf -> exact 0 term (q < 1); an overflowing term
-        # or sum is refused below, not warned about
-        with np.errstate(divide="ignore", over="ignore"):
-            powers = np.exp((1.0 - q) * (log_scales[:, None] + m * np.log(rho)))
-        try:
-            sums = exact_sums(powers.reshape(-1, n))
-        except OverflowError as exc:
-            raise DomainError(f"estimator terms overflow float64: {exc}") from exc
-        if not np.isfinite(sums).all():
-            raise DomainError("estimator terms overflow float64: a sum is not finite")
-        return sums.reshape(rho.shape[:2]) / n
-
-    return evaluate
+    rho = np.empty((b, len(ks), n))
+    for j, sample in enumerate(samples):
+        rho[j] = knn_distances(sample, max(ks)).T[columns]
+        if q > 1 and np.min(rho[j]) == 0.0:
+            raise DegenerateSampleError(
+                "duplicate points give zero neighbor distances, undefined for q > 1 "
+                "(remove or perturb the duplicates, or use q < 1)"
+            )
+    # rho == 0 -> log -inf -> exact 0 term (q < 1); an overflowing term
+    # or sum is refused below, not warned about
+    with np.errstate(divide="ignore", over="ignore"):
+        powers = np.exp((1.0 - q) * (log_scales[:, None] + m * np.log(rho)))
+    try:
+        sums = exact_sums(powers.reshape(-1, n))
+    except OverflowError as exc:
+        raise DomainError(f"estimator terms overflow float64: {exc}") from exc
+    if not np.isfinite(sums).all():
+        raise DomainError("estimator terms overflow float64: a sum is not finite")
+    return sums.reshape(b, len(ks)) / n
 
 
 def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:
@@ -115,7 +110,7 @@ def tsallis_knn_estimate(x, k: int, q: float) -> EntropyEstimate:
     a = as_sample_matrix(x)
     n, m = a.shape
     knn_bias_constant(k, q)  # validates k and q before the query; knn refuses N <= k
-    i_hat = float(lps_block(n, m, (int(k),), q)(a[None])[0, 0])
+    i_hat = float(lps_block(a[None], (int(k),), q)[0, 0])
     h_hat = float((1.0 - i_hat) / (q - 1.0))
     return EntropyEstimate(i_hat=i_hat, h_hat=h_hat, q=q, k=int(k), n=n, m=m)
 

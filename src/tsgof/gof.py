@@ -18,10 +18,10 @@ Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
 't2', the compact-support q-Gaussian. `infeasibility_reason` is the one
 feasibility rule for both.
 
-The observed Q and every null replicate go through one block function,
-which forms a point's constants once and evaluates a stack of samples
-with vectorized, exactly rounded sums (`mathcore.exact_sums`); h_hat
-comes from `entropy.lps_block`, the one estimator path. Its results
+The observed Q and every null replicate go through one function of a
+stack of samples, which forms the point's constants once per block and
+evaluates the stack with vectorized, exactly rounded sums
+(`mathcore.exact_sums`); h_hat comes from `entropy.lps_block`. Its results
 equal, bit for bit, those of forming each sample's covariance, null
 entropy and estimate alone with math.fsum.
 """
@@ -110,30 +110,24 @@ def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> t
     return tuple(int(k) for k in ks)
 
 
-def _block_kernel(n: int, m: int, ks: tuple, q: float, statistic: bool):
-    """A function from a (B, n, m) stack of samples to their (B, len(ks))
-    matrix of Q (with statistic) or h_hat, at every k of ks.
+def _block_values(samples: np.ndarray, ks: tuple, q: float, statistic: bool) -> np.ndarray:
+    """The (B, len(ks)) Q (with statistic) or h_hat of a (B, n, m) stack, at every k of ks.
 
     The estimate comes from `entropy.lps_block`. With statistic, the
-    covariance factor and the null entropy's constants are formed here,
-    once; per block, all means take one exact_sums call and all covariance
-    entries one more, and one stacked Cholesky log-det of the samples' null
-    shape matrices comes before the neighbor queries. So a rank-deficient
-    sample raises NotPositiveDefiniteError even if it also has duplicates.
+    covariance factor and the null entropy's constants are formed once per
+    call; all means take one exact_sums call and all covariance entries
+    one more, and one stacked Cholesky log-det of the samples' null shape
+    matrices comes before the neighbor queries. So a rank-deficient sample
+    raises NotPositiveDefiniteError even if it also has duplicates.
     The ks must have passed _checked_ks.
     """
-    i_hat = lps_block(n, m, ks, q)
     if not statistic:
-        return lambda samples: (1.0 - i_hat(samples)) / (q - 1.0)
-    shape_scale = 1.0 / qgauss_covariance_factor(m, q)
+        return (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
+    m = samples.shape[2]
     null_entropy = qgauss_entropy_of_log_det(m, q)
-
-    def evaluate(samples: np.ndarray) -> np.ndarray:
-        log_dets = log_det(sample_moments(samples)[1] * shape_scale)
-        upper = np.array([null_entropy(value) for value in log_dets.tolist()])
-        return upper[:, None] - (1.0 - i_hat(samples)) / (q - 1.0)
-
-    return evaluate
+    log_dets = log_det(sample_moments(samples)[1] * (1.0 / qgauss_covariance_factor(m, q)))
+    upper = np.array([null_entropy(value) for value in log_dets.tolist()])
+    return upper[:, None] - (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
 
 
 def gof_statistic(x, k: int, q: float, family: str) -> TestResult:
@@ -146,7 +140,7 @@ def gof_statistic(x, k: int, q: float, family: str) -> TestResult:
     a = as_sample_matrix(x)
     n, m = a.shape
     ks = _checked_ks((k,), q, m, n, family, True)
-    statistic = float(_block_kernel(n, m, ks, q, True)(a[None])[0, 0])
+    statistic = float(_block_values(a[None], ks, q, True)[0, 0])
     return TestResult(statistic=statistic, family=family, q=q, k=ks[0], n=n, m=m)
 
 
@@ -199,8 +193,8 @@ def null_replicates(
     """One standard null draw of size n per RngStream in streams, evaluated
     at every k of ks: a (replicates, len(ks)) matrix.
 
-    The draws are evaluated in blocks of max(1, 8192 // n), through the
-    same block function as gof_statistic, with one neighbor query at
+    The draws are evaluated in blocks of max(1, 8192 // n) by
+    `_block_values`, like gof_statistic's sample, with one neighbor query at
     max(ks), so all ks share draws (common random numbers across k) and
     each column equals what a run with ks=(k,) gives, bit for bit. Where a
     block fails, its draws are evaluated again one at a time, so the first
@@ -212,7 +206,6 @@ def null_replicates(
     """
     ks = _checked_ks(ks, q, m, n, family, statistic)
     params = QGaussianParams(m=m, q=q)
-    evaluate = _block_kernel(n, m, ks, q, statistic)
     streams = iter(streams)
     blocks = []
     while chunk := list(islice(streams, max(1, _BLOCK_VALUES // n))):
@@ -220,9 +213,9 @@ def null_replicates(
         try:
             for rng in chunk:
                 samples.append(qgauss_sample(params, n, rng))  # DomainError on overflow
-            blocks.append(evaluate(np.stack(samples)))
-        except (ValueError, OverflowError):
+            blocks.append(_block_values(np.stack(samples), ks, q, statistic))
+        except ValueError:
             for sample in samples:
-                evaluate(sample[None])
+                _block_values(sample[None], ks, q, statistic)
             raise
     return np.concatenate(blocks) if blocks else np.empty((0, len(ks)))

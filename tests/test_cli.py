@@ -228,6 +228,21 @@ class TestGof:
             "error": "sample covariance requires N > m, got N=3, m=3", "kind": "domain"
         }
 
+    def test_overflowing_null_entropy_exits_domain(self, capsys, tmp_path):
+        # the sample covariance (about 1e300) is finite, but the t2 null
+        # member's q-integral at it, exp(987.45), is not
+        data = tmp_path / "big3.csv"
+        data.write_text("x0,x1,x2\n1e150,0,0\n0,1e150,0\n0,0,1e150\n"
+                        "-1e150,-1e150,0\n0,-1e150,-1e150\n")
+        code, out, err = run_cli(
+            ["gof", "--in", str(data), "--family", "t2", "--q=0.05", "--k", "1",
+             "--simulate", "3", "--seed", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "q-Gaussian entropy overflows float64: log I_q = 987.454", "kind": "domain"
+        }
+
     def test_table_path(self, capsys, tmp_path):
         data = self.make_data(tmp_path)
         table = tmp_path / "table.csv"

@@ -20,6 +20,7 @@ from tsgof.distributions import (
     gg_tsallis_entropy,
     gg_variance_scale,
     qgauss_covariance_factor,
+    qgauss_entropy_of_log_det,
     qgauss_q_integral,
     qgauss_sample,
     qgauss_tsallis_entropy,
@@ -388,6 +389,37 @@ class TestOverflowingDraws:
         radial = c * z / np.sqrt(w / params.nu)[:, None]
         expected = params.mu + radial @ sigma.cholesky_factor.T
         assert qgauss_sample(params, 500, RngStream(3)).tobytes() == expected.tobytes()
+
+
+class TestOverflowingClosedForms:
+    # at a shape matrix of 1e300 * I, log I_q is about 1,300: exp of it is
+    # past float64, which math.exp and math.expm1 refuse with OverflowError
+    @pytest.mark.parametrize(
+        "closed_form, message",
+        [
+            (lambda sigma: qgauss_tsallis_entropy(QGaussianParams(m=4, q=0.05, sigma=sigma)),
+             "q-Gaussian entropy overflows float64: log I_q = 1315.38"),
+            (lambda sigma: qgauss_q_integral(QGaussianParams(m=4, q=0.05, sigma=sigma)),
+             "q-Gaussian q-integral overflows float64: log I_q = 1315.38"),
+            (lambda sigma: gg_tsallis_entropy(4, 2.0, sigma, 0.05),
+             "generalized Gaussian entropy overflows float64: log I_q = 1321.96"),
+            (lambda sigma: gg_q_integral(4, 2.0, sigma, 0.05),
+             "generalized Gaussian q-integral overflows float64: log I_q = 1321.96"),
+        ],
+        ids=["qgauss-entropy", "qgauss-q-integral", "gg-entropy", "gg-q-integral"],
+    )
+    def test_refused_as_domain_error(self, closed_form, message):
+        with pytest.raises(DomainError) as err:
+            closed_form(np.eye(4) * 1e300)
+        assert str(err.value) == message
+
+    def test_entropy_past_float64_after_the_division_is_refused(self):
+        # at m = 1, q = 0.5 and log det Sigma = 2835.6, log I_q is 709.50:
+        # expm1 of it is finite (1.4e308), but dividing by 1 - q = 0.5 takes
+        # it past float64, which float division returns as inf
+        with pytest.raises(DomainError) as err:
+            qgauss_entropy_of_log_det(1, 0.5)(2835.6)
+        assert str(err.value) == "q-Gaussian entropy overflows float64: log I_q = 709.502"
 
 
 class TestClosedFormProperties:

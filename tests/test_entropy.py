@@ -6,8 +6,13 @@ import pytest
 
 from oracles import lps_estimate_reference
 from tsgof.errors import DegenerateSampleError, DomainError
-from tsgof.distributions import gg_tsallis_entropy
-from tsgof.entropy import check_consistency_conditions, knn_bias_constant, tsallis_knn_estimate
+from tsgof.distributions import QGaussianParams, gg_tsallis_entropy, qgauss_sample
+from tsgof.entropy import (
+    check_consistency_conditions,
+    knn_bias_constant,
+    lps_block,
+    tsallis_knn_estimate,
+)
 from tsgof.mathcore import RngStream
 
 
@@ -67,6 +72,22 @@ class TestLpsSum:
                 i_hat, h_hat = lps_estimate_reference(x, 2, q)
                 assert estimate.i_hat == i_hat
                 assert estimate.h_hat == h_hat
+
+
+class TestLpsBlock:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", [0.5, 1.2])
+    def test_row_does_not_depend_on_its_stack(self, m, q):
+        # each row of a stack of null draws is that draw's own block of one,
+        # and the term-by-term estimate at each k, bit for bit
+        ks = (1, 3)
+        params = QGaussianParams(m=m, q=q)
+        samples = np.stack([qgauss_sample(params, 60, RngStream(19, j)) for j in range(5)])
+        block = lps_block(samples, ks, q)
+        assert block.shape == (5, 2)
+        for row, sample in zip(block, samples):
+            assert row.tobytes() == lps_block(sample[None], ks, q)[0].tobytes()
+            assert row.tolist() == [lps_estimate_reference(sample, k, q)[0] for k in ks]
 
 
 class TestEstimatorStatistics:

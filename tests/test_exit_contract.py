@@ -75,7 +75,9 @@ def _sample(draw):
 
 
 _CELLS = st.one_of(
-    st.sampled_from(["0", "1", "-1", "0.5", "2.5", "1e300", "1e-300", "1.7e308", "-1.7e308"]),
+    st.sampled_from(
+        ["0", "1", "-1", "0.5", "2.5", "1e150", "-1e150", "1e300", "1e-300", "1.7e308", "-1.7e308"]
+    ),
     st.floats(-10.0, 10.0).map(repr),
 )
 
@@ -140,6 +142,12 @@ def workdir(tmp_path_factory):
 @example(command={"argv": ["gof", "--k", "2", "--q=1e-5", "--family", "t2", "--simulate", "3",
                            "--seed", "3"],
                   "csv": "x0,x1\n1e154,3e153\n1,0\n0.5,0.5\n-2e153,2.5\n7e153,-1e153\n3,4\n"})
+# here the sample covariance (about 1e300) is finite, but the null
+# entropy at it overflowed in math.expm1: an OverflowError, kind internal
+@example(command={"argv": ["gof", "--k", "1", "--q=0.05", "--family", "t2", "--simulate", "3",
+                           "--seed", "3"],
+                  "csv": "x0,x1,x2\n1e150,0,0\n0,1e150,0\n0,0,1e150\n-1e150,-1e150,0\n"
+                         "0,-1e150,-1e150\n"})
 def test_exit_code_contract(workdir, command):
     root, counter = workdir
     case = root / f"case-{next(counter)}"
