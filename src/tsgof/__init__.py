@@ -17,7 +17,7 @@ _EXPORTS = {
         "ConfigError", "DegenerateSampleError", "DomainError", "InfeasibleModelError",
         "NotPositiveDefiniteError",
     ),
-    "mathcore": ("RngStream", "draw_gamma", "log_gamma", "unit_ball_volume"),
+    "mathcore": ("RngStream", "unit_ball_volume"),
     "linalg": ("SymPDMatrix", "as_sample_matrix", "cholesky", "log_det"),
     "distributions": (
         "GGParams", "QGaussianParams", "gg_q_integral", "gg_sample", "gg_tsallis_entropy",

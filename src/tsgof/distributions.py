@@ -30,7 +30,7 @@ from scipy.special import betaln, gammaln
 
 from .errors import DomainError, InfeasibleModelError
 from .linalg import SymPDMatrix
-from .mathcore import RngStream, draw_gamma
+from .mathcore import RngStream
 
 
 def _as_location(vec, m: int, name: str) -> np.ndarray:
@@ -144,17 +144,25 @@ def gg_sample(params: GGParams, n: int, rng: RngStream) -> np.ndarray:
 
     X = alpha + r * Sigma^(1/2) U with U uniform on the sphere and
     r = (2 G)^(1/s), G ~ Gamma(m/s), which gives the radial density
-    proportional to r^(m-1) exp(-r^s / 2). Draws that overflow float64
-    (s near 0) raise DomainError.
+    proportional to r^(m-1) exp(-r^s / 2). Below shape 1, G = G1 * V^(s/m)
+    with G1 ~ Gamma(m/s + 1) and V uniform, which avoids rejection
+    pathologies near zero. Draws that overflow float64 (s near 0) raise
+    DomainError, as does s = inf, which the closed forms admit.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
     m, s = params.m, params.s
+    if math.isinf(s):
+        raise DomainError("the generalized Gaussian sampler needs a finite s, got s=inf")
     gen = rng.generator
     z = gen.standard_normal((n, m))
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     norms[norms == 0.0] = 1.0
-    g = np.atleast_1d(draw_gamma(rng, m / s, size=n))
+    shape = m / s
+    if shape >= 1.0:
+        g = gen.standard_gamma(shape, size=n)
+    else:
+        g = gen.standard_gamma(shape + 1.0, size=n) * gen.random(n) ** (1.0 / shape)
     r = (2.0 * g) ** (1.0 / s)
     directions = z / norms[:, None]
     radial = directions * r[:, None]

@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DegenerateSampleError, DomainError
 from .knn import knn_distances
 from .linalg import as_sample_matrix
-from .mathcore import exact_sums, log_gamma, unit_ball_volume
+from .mathcore import exact_sums, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def knn_bias_constant(k: int, q: float) -> float:
         raise DomainError(f"order q must satisfy 0 < q < k+1 = {k + 1}, got {q!r}")
     if q == 1:
         raise DomainError("order q = 1 is excluded (estimator undefined at the Shannon point)")
-    return math.exp((log_gamma(k) - log_gamma(k + 1.0 - q)) / (1.0 - q))
+    return math.exp((gammaln(k) - gammaln(k + 1.0 - q)) / (1.0 - q))
 
 
 def lps_block(samples: np.ndarray, ks: tuple, q: float) -> np.ndarray:

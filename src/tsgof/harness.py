@@ -327,17 +327,18 @@ def _tag(task: _Task) -> list:
 def _histogram(values: np.ndarray, what: str = "the values") -> np.ndarray:
     """(bins, 3) matrix of [bin_left, bin_right, density] per
     Freedman-Diaconis bin. numpy's bin count, range / (2 IQR n^(-1/3))
-    rounded up, is checked first: above _MAX_BINS it is a DomainError
-    naming what is binned, raised before any bin is allocated."""
+    rounded up, is checked, then used: above _MAX_BINS (inf too) it is a
+    DomainError naming what is binned, raised before any bin is allocated."""
+    lo, hi = float(values.min()), float(values.max())
     q75, q25 = np.percentile(values, [75, 25]).tolist()
     width = 2.0 * (q75 - q25) * values.size ** (-1.0 / 3.0)
-    bins = (float(values.max()) - float(values.min())) / width if width else 1.0
+    bins = (hi - lo) / width if width else 1.0
     if bins > _MAX_BINS:
         raise DomainError(
             f"a Freedman-Diaconis histogram of {what} needs {np.ceil(bins):.4g} bins, "
             f"above the cap of {_MAX_BINS}"
         )
-    counts, edges = np.histogram(values, bins="fd")
+    counts, edges = np.histogram(values, bins=math.ceil(bins), range=(lo, hi))
     density = counts / (counts.sum() * np.diff(edges))
     return np.column_stack((edges[:-1], edges[1:], density))
 

@@ -1,4 +1,4 @@
-"""Special functions and seeded random primitives used by every other module.
+"""Seeded random streams, the unit-ball volume and exactly rounded row sums.
 
 Random streams are built on the Philox counter-based bit generator, keyed
 directly by the pair (master_seed, stream_index). Distinct key pairs give
@@ -78,18 +78,15 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0) or not math.isfinite(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return float(gammaln(x))
-
-
 def unit_ball_volume(m: int) -> float:
-    """Volume of the unit ball in R^m: pi^(m/2) / Gamma(m/2 + 1)."""
+    """Volume of the unit ball in R^m: pi^(m/2) / Gamma(m/2 + 1). It is
+    subnormal from m = 436; from m = 453 it underflows to 0.0, a DomainError."""
     if int(m) != m or m < 1:
         raise DomainError(f"dimension must be a positive integer, got {m!r}")
-    return float(math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)))
+    volume = math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0))
+    if volume == 0.0:
+        raise DomainError(f"the volume of the unit ball in R^{m} underflows float64")
+    return volume
 
 
 def exact_sums(rows) -> np.ndarray:
@@ -137,21 +134,3 @@ def exact_sums(rows) -> np.ndarray:
             out.append(math.fsum(rows[i].tolist()))
         start = end
     return np.array(out)
-
-
-def draw_gamma(rng: RngStream, shape: float, size=None):
-    """Gamma(shape, scale=1) variates.
-
-    For shape < 1 the draw is boosted from Gamma(shape + 1) via
-    G = G1 * U^(1/shape), which avoids rejection pathologies near zero.
-    """
-    if not (shape > 0):
-        raise DomainError(f"gamma shape must be positive, got {shape!r}")
-    gen = rng.generator
-    if shape >= 1.0:
-        out = gen.standard_gamma(shape, size=size)
-    else:
-        boosted = gen.standard_gamma(shape + 1.0, size=size)
-        u = gen.random(size)
-        out = boosted * u ** (1.0 / shape)
-    return float(out) if size is None else out

@@ -108,6 +108,14 @@ class TestSample:
         assert abs(draws.mean()) < 0.03
         assert abs(draws.var() - 1.0) < 0.05
 
+    def test_gg_boosted_gamma_bytes(self, capsys):
+        # m/s = 1/4 takes the boosted Gamma draw
+        code, out, _ = run_cli(
+            ["sample", "--family", "gg", "--m", "1", "--s", "4", "--n", "5", "--seed", "3"],
+            capsys)
+        assert (code, out) == (0, "0.6120195532052702\n1.1678364402264054\n1.094216712460577\n"
+                                  "-0.17632064076163326\n0.450918761295009\n")
+
     def test_family_flag_consistency(self, capsys):
         code, _, err = run_cli(
             ["sample", "--family", "gg", "--m", "1", "--q", "1.2", "--n", "10",
@@ -175,6 +183,17 @@ class TestEntropy:
         assert (code, out) == (1, "")
         assert json.loads(err) == {
             "error": "k must be an integer in [1, N-1] = [1, 1], got 2", "kind": "domain"
+        }
+
+    def test_unit_ball_volume_underflow_exits_domain(self, capsys, tmp_path):
+        # V_m underflows float64 from m = 453
+        data = tmp_path / "wide.csv"
+        rows = np.random.default_rng(0).random((6, 1500))
+        data.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        code, out, err = run_cli(["entropy", "--in", str(data), "--k", "1", "--q", "0.5"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "the volume of the unit ball in R^1500 underflows float64", "kind": "domain"
         }
 
     def test_header_auto_detected(self, capsys, tmp_path):
@@ -703,16 +722,17 @@ class TestExperimentCommands:
 # does for a stack, the critical-value table classes, whose one use
 # read_critical_value serves, and the names only tests called: the log-pdfs,
 # which moved to the test oracles, the normalizing constants, the covariance
-# matrices, mahalanobis_sq and tsallis_entropy_uniform
+# matrices, mahalanobis_sq and tsallis_entropy_uniform; and log_gamma and
+# draw_gamma, whose work knn_bias_constant and gg_sample do inline
 PUBLIC_NAMES = [
     "ConfigError", "ConsistencyReport", "DegenerateSampleError", "DomainError",
     "EntropyEstimate", "ExperimentConfig", "GGParams", "GridBlock", "InfeasibleModelError",
     "NotPositiveDefiniteError", "QGaussianParams", "RegressionFit", "RngStream",
     "ShapiroResult", "SymPDMatrix", "TestResult", "as_sample_matrix",
-    "check_consistency_conditions", "cholesky", "distributions", "draw_gamma",
+    "check_consistency_conditions", "cholesky", "distributions",
     "empirical_quantile", "entropy", "errors", "gg_q_integral", "gg_sample",
     "gg_tsallis_entropy", "gg_variance_scale", "gof", "gof_statistic", "harness", "knn",
-    "knn_bias_constant", "knn_distances", "linalg", "load_config", "log_det", "log_gamma",
+    "knn_bias_constant", "knn_distances", "linalg", "load_config", "log_det",
     "mathcore", "ols_slope_with_offset", "parse_config", "qgauss_covariance_factor",
     "qgauss_q_integral", "qgauss_sample", "qgauss_tsallis_entropy", "read_critical_value",
     "run_experiment", "run_test", "shapiro_wilk", "statkit", "tsallis_knn_estimate",

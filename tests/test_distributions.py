@@ -123,6 +123,22 @@ class TestGGSample:
         b = gg_sample(params, 100, RngStream(25, 7))
         assert np.array_equal(a, b)
 
+    def test_boosted_gamma_radius(self):
+        # m/s = 1/4 < 1 takes the boosted Gamma draw; X^4 = 2G, G ~ Gamma(1/4)
+        draws = gg_sample(GGParams(m=1, s=4.0), 1_000_000, RngStream(7, 0))
+        assert abs((draws[:, 0] ** 4).mean() - 0.5) <= 0.005
+
+    def test_plain_gamma_radius(self):
+        # m/s = 3: |X| = 2G, G ~ Gamma(3)
+        draws = gg_sample(GGParams(m=3, s=1.0), 1_000_000, RngStream(6, 0))
+        assert abs(np.linalg.norm(draws, axis=1).mean() - 6.0) <= 0.02
+
+    def test_infinite_s_is_refused(self):
+        # the closed forms take s = inf, the uniform law on the unit ball
+        assert gg_q_integral(2, math.inf, None, 0.5) == pytest.approx(math.sqrt(math.pi))
+        with pytest.raises(DomainError, match="^the generalized Gaussian sampler needs a finite s"):
+            gg_sample(GGParams(m=2, s=math.inf), 10, RngStream(1))
+
 
 class TestGGQIntegral:
     def test_near_one_at_q_one(self):

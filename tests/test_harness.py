@@ -101,6 +101,11 @@ def run_files(config, out_dir: Path, workers: int = 1) -> dict:
     return {name: csv_rows(path) for name, path in paths.items() if name.endswith(".csv")}
 
 
+def t1_draws(q, m, n=20_000):
+    """The first coordinate of n draws of the index-q member in R^m."""
+    return qgauss_sample(QGaussianParams(m=m, q=q), n, RngStream(11))[:, 0]
+
+
 def tiny_config(**overrides):
     base = dict(
         kind="critical-values",
@@ -774,15 +779,36 @@ class TestDistributionShape:
             run_experiment(config, out_dir=tmp_path, workers=1)
         assert [p.name for p in tmp_path.iterdir()] == [".cells"]
 
-    @pytest.mark.parametrize("q, m", [(1.5, 1), (1.9, 1), (0.5, 3)])
-    def test_histogram_equals_edges_then_counts(self, q, m):
-        # one np.histogram call gives the bits of bin_edges followed by histogram
-        draws = qgauss_sample(QGaussianParams(m=m, q=q), 20_000, RngStream(11))[:, 0]
-        edges = np.histogram_bin_edges(draws, bins="fd")
-        counts, edges = np.histogram(draws, bins=edges)
+    @pytest.mark.parametrize(
+        "make, refused",
+        [
+            pytest.param(lambda: t1_draws(1.5, 1), False, id="1.5-1"),
+            pytest.param(lambda: t1_draws(1.9, 1), False, id="1.9-1"),
+            pytest.param(lambda: t1_draws(0.5, 3), False, id="0.5-3"),
+            pytest.param(lambda: np.full(50, 3.25), False, id="constant"),
+            pytest.param(lambda: np.array([2.0, -1.0]), False, id="N=2"),
+            pytest.param(lambda: np.r_[np.zeros(100), 5.0], False, id="zero-IQR"),
+            pytest.param(lambda: t1_draws(2.5, 1, n=100), False, id="2.5-1"),  # 2,858 bins
+            pytest.param(lambda: t1_draws(1.5, 1) * 1e-300, False, id="1.5-1-times-1e-300"),
+            pytest.param(lambda: t1_draws(1.5, 1) * 1e300, False, id="1.5-1-times-1e300"),
+            # IQR 1e-320 and range 1: the float count range / width is inf
+            pytest.param(lambda: np.r_[np.zeros(50), np.full(50, 1e-320), 1.0], True,
+                         id="subnormal-width"),
+        ],
+    )
+    def test_histogram_equals_edges_then_counts(self, make, refused):
+        # the bits of numpy's bins="fd" edges followed by histogram over them,
+        # or a refusal where the count that rule gives is past the cap
+        values = make()
+        if refused:
+            with pytest.raises(DomainError, match=r"needs inf bins, above the cap of 4194304$"):
+                harness._histogram(values)
+            return
+        edges = np.histogram_bin_edges(values, bins="fd")
+        counts, edges = np.histogram(values, bins=edges)
         density = counts / (counts.sum() * np.diff(edges))
         expected = np.column_stack((edges[:-1], edges[1:], density))
-        got = harness._histogram(draws)
+        got = harness._histogram(values)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_qq_pairs_are_sorted(self, tmp_path):

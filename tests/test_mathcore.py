@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,48 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgof.errors import DomainError
-from tsgof.mathcore import (
-    RngStream,
-    content_index,
-    draw_gamma,
-    exact_sums,
-    log_gamma,
-    unit_ball_volume,
-)
-
-DATA = Path(__file__).parent / "data"
-
-
-def load_loggamma_table():
-    rows = []
-    for line in (DATA / "loggamma_reference.csv").read_text().splitlines()[1:]:
-        x, value = line.split(",")
-        rows.append((float(x), float(value)))
-    return rows
-
-
-class TestLogGamma:
-    def test_trivial_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_against_high_precision_table(self):
-        for x, expected in load_loggamma_table():
-            got = log_gamma(x)
-            if expected == 0.0:
-                assert abs(got) < 1e-12
-            else:
-                assert abs(got - expected) / abs(expected) <= 1e-12, f"x={x}"
-
-    def test_recurrence(self):
-        for x in np.linspace(0.5, 100.0, 200):
-            assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) <= 1e-10
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
-    def test_domain_errors(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
+from tsgof.mathcore import RngStream, content_index, exact_sums, unit_ball_volume
 
 
 class TestUnitBallVolume:
@@ -66,6 +24,15 @@ class TestUnitBallVolume:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             unit_ball_volume(bad)
+
+    def test_last_dimension_before_underflow_keeps_its_subnormal_value(self):
+        assert unit_ball_volume(452) == 1e-323  # the subnormal 2 * 2**-1074
+
+    @pytest.mark.parametrize("m", [453, 1500])
+    def test_underflow_to_zero_is_refused(self, m):
+        message = f"^the volume of the unit ball in R\\^{m} underflows float64$"
+        with pytest.raises(DomainError, match=message):
+            unit_ball_volume(m)
 
 
 class TestRngStream:
@@ -119,26 +86,6 @@ class TestContentIndex:
         indices = {content_index(*parts) for parts in [base] + variants}
         assert len(indices) == len(variants) + 1
         assert all(0 <= i < 2**64 for i in indices)
-
-
-class TestDraws:
-    def test_gamma_mean_matches_shape(self):
-        g = draw_gamma(RngStream(6, 0), 3.0, size=1_000_000)
-        assert abs(g.mean() - 3.0) <= 0.02
-
-    def test_gamma_boosted_small_shape(self):
-        g = draw_gamma(RngStream(7, 0), 0.5, size=1_000_000)
-        assert abs(g.mean() - 0.5) <= 0.01
-        assert abs(g.var() - 0.5) <= 0.02
-
-    def test_gamma_scalar(self):
-        value = draw_gamma(RngStream(8, 0), 2.5)
-        assert isinstance(value, float) and value > 0
-
-    def test_domain_errors(self):
-        rng = RngStream(0)
-        with pytest.raises(DomainError):
-            draw_gamma(rng, 0.0)
 
 
 # a float with a 54-bit signed integer significand and any exponent from the
