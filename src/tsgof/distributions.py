@@ -19,7 +19,9 @@ Both are elliptical. Conventions used throughout:
 
 Closed-form q-integrals (integral of f^q) and Tsallis entropies
 H_q = (integral(f^q) - 1) / (1 - q) come from the radial Beta reduction and
-are cross-checked against adaptive quadrature in the test suite.
+are cross-checked against adaptive quadrature in the test suite. The null
+half of the statistic Q, the entropy of the index-q member at each sample
+covariance of a stack, is `qgauss_null_entropies`.
 """
 
 import math
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.special import betaln, gammaln
 
 from .errors import DomainError, InfeasibleModelError
-from .linalg import SymPDMatrix
+from .linalg import SymPDMatrix, log_det
 from .mathcore import RngStream
 
 
@@ -250,35 +252,28 @@ def _qgauss_log_radial(m: int, q: float, exponent_num: float) -> float:
     return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p - 0.5 * m)
 
 
-def _qgauss_log_q_integral_of(m: int, q: float):
-    """log integral(f^q) of the index-q member in R^m as a function of
-    log det Sigma, with the (m, q) constants formed once."""
-    _check_order(q)
+def _qgauss_log_q_integral(m: int, q: float, log_det_sigma):
+    """log integral(f^q) of the index-q member in R^m, for log_det_sigma a
+    float or an array of them; q must have passed _check_order."""
     area = _log_sphere_area(m)
     radial_1 = _qgauss_log_radial(m, q, 1.0)
     radial_q = _qgauss_log_radial(m, q, q)
     # q * log C_q + log[det(Sigma)^(1/2) * sphere area * radial integral of order q]
-    return lambda log_det: q * -(0.5 * log_det + area + radial_1) + 0.5 * log_det + area + radial_q
+    return q * -(0.5 * log_det_sigma + area + radial_1) + 0.5 * log_det_sigma + area + radial_q
 
 
 def qgauss_q_integral(params: QGaussianParams) -> float:
     """integral of f^q over R^m for the q-Gaussian."""
-    log_iq = _qgauss_log_q_integral_of(params.m, params.q)(params.sigma.log_det)
+    _check_order(params.q)
+    log_iq = _qgauss_log_q_integral(params.m, params.q, params.sigma.log_det)
     return _from_log_q_integral(log_iq, "q-Gaussian q-integral")
-
-
-def qgauss_entropy_of_log_det(m: int, q: float):
-    """Order-q Tsallis entropy (1 - I_q)/(q - 1) of the index-q member in
-    R^m as a function of log det Sigma: the sphere area and the two radial
-    Beta logs are formed once, for callers that evaluate many shape
-    matrices."""
-    log_q_integral = _qgauss_log_q_integral_of(m, q)
-    return lambda log_det: _from_log_q_integral(log_q_integral(log_det), "q-Gaussian entropy", q)
 
 
 def qgauss_tsallis_entropy(params: QGaussianParams) -> float:
     """Order-q Tsallis entropy of the q-Gaussian: (1 - I_q)/(q - 1)."""
-    return qgauss_entropy_of_log_det(params.m, params.q)(params.sigma.log_det)
+    _check_order(params.q)
+    log_iq = _qgauss_log_q_integral(params.m, params.q, params.sigma.log_det)
+    return _from_log_q_integral(log_iq, "q-Gaussian entropy", params.q)
 
 
 def qgauss_covariance_factor(m: int, q: float) -> float:
@@ -295,6 +290,18 @@ def qgauss_covariance_factor(m: int, q: float) -> float:
             f"requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)}"
         )
     return 2.0 / (2.0 + (1.0 - q) * (m + 2.0))
+
+
+def qgauss_null_entropies(covariances: np.ndarray, q: float) -> np.ndarray:
+    """(B,) order-q Tsallis entropies of the index-q members whose covariances
+    are a (B, m, m) stack, from one stacked log-det of the shape matrices
+    (each covariance times 1 / the covariance factor): each equals
+    qgauss_tsallis_entropy of its shape matrix alone, bit for bit."""
+    _check_order(q)
+    m = covariances.shape[-1]
+    log_dets = log_det(covariances * (1.0 / qgauss_covariance_factor(m, q)))
+    log_iqs = _qgauss_log_q_integral(m, q, log_dets)
+    return np.array([_from_log_q_integral(v, "q-Gaussian entropy", q) for v in log_iqs.tolist()])
 
 
 @np.errstate(all="ignore")

@@ -19,9 +19,9 @@ Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
 feasibility rule for both.
 
 The observed Q and every null replicate go through one function of a
-stack of samples, which forms the point's constants once per block and
-evaluates the stack with vectorized, exactly rounded sums
-(`mathcore.exact_sums`); h_hat comes from `entropy.lps_block`. Its results
+stack of samples. Its null half is `distributions.qgauss_null_entropies`
+of the samples' covariances, which `linalg.sample_moments` forms with
+exactly rounded sums; h_hat comes from `entropy.lps_block`. Its results
 equal, bit for bit, those of forming each sample's covariance, null
 entropy and estimate alone with math.fsum.
 """
@@ -31,15 +31,10 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import (
-    QGaussianParams,
-    qgauss_covariance_factor,
-    qgauss_entropy_of_log_det,
-    qgauss_sample,
-)
+from .distributions import QGaussianParams, qgauss_null_entropies, qgauss_sample
 from .entropy import knn_bias_constant, lps_block
 from .errors import ConfigError, DomainError, InfeasibleModelError
-from .linalg import as_sample_matrix, log_det, sample_moments
+from .linalg import as_sample_matrix, sample_moments
 from .mathcore import RngStream
 from .statkit import empirical_quantile
 
@@ -113,20 +108,14 @@ def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> t
 def _block_values(samples: np.ndarray, ks: tuple, q: float, statistic: bool) -> np.ndarray:
     """The (B, len(ks)) Q (with statistic) or h_hat of a (B, n, m) stack, at every k of ks.
 
-    The estimate comes from `entropy.lps_block`. With statistic, the
-    covariance factor and the null entropy's constants are formed once per
-    call; all means take one exact_sums call and all covariance entries
-    one more, and one stacked Cholesky log-det of the samples' null shape
-    matrices comes before the neighbor queries. So a rank-deficient sample
-    raises NotPositiveDefiniteError even if it also has duplicates.
-    The ks must have passed _checked_ks.
+    With statistic, the null half of Q (`qgauss_null_entropies` of the
+    samples' covariances) comes before the estimate (`lps_block`), so a
+    rank-deficient sample raises NotPositiveDefiniteError even if it also
+    has duplicates. The ks must have passed _checked_ks.
     """
     if not statistic:
         return (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
-    m = samples.shape[2]
-    null_entropy = qgauss_entropy_of_log_det(m, q)
-    log_dets = log_det(sample_moments(samples)[1] * (1.0 / qgauss_covariance_factor(m, q)))
-    upper = np.array([null_entropy(value) for value in log_dets.tolist()])
+    upper = qgauss_null_entropies(sample_moments(samples)[1], q)
     return upper[:, None] - (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
 
 

@@ -328,7 +328,9 @@ def _histogram(values: np.ndarray, what: str = "the values") -> np.ndarray:
     """(bins, 3) matrix of [bin_left, bin_right, density] per
     Freedman-Diaconis bin. numpy's bin count, range / (2 IQR n^(-1/3))
     rounded up, is checked, then used: above _MAX_BINS (inf too) it is a
-    DomainError naming what is binned, raised before any bin is allocated."""
+    DomainError naming what is binned, raised before any bin is allocated.
+    Constant values c get numpy's bin (c - 0.5, c + 0.5), or a DomainError
+    where both edges round back to c (as from |c| = 2**53 on)."""
     lo, hi = float(values.min()), float(values.max())
     q75, q25 = np.percentile(values, [75, 25]).tolist()
     width = 2.0 * (q75 - q25) * values.size ** (-1.0 / 3.0)
@@ -338,6 +340,8 @@ def _histogram(values: np.ndarray, what: str = "the values") -> np.ndarray:
             f"a Freedman-Diaconis histogram of {what} needs {np.ceil(bins):.4g} bins, "
             f"above the cap of {_MAX_BINS}"
         )
+    if lo - 0.5 == hi + 0.5:
+        raise DomainError(f"{what} all equal {lo!r}, and a bin around it has no width in float64")
     counts, edges = np.histogram(values, bins=math.ceil(bins), range=(lo, hi))
     density = counts / (counts.sum() * np.diff(edges))
     return np.column_stack((edges[:-1], edges[1:], density))

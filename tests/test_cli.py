@@ -473,6 +473,26 @@ class TestExperimentCommands:
         assert "computed invalid cell file" in message["error"] and "nan" in message["error"]
         assert [p.name for p in out_dir.iterdir()] == [".cells"]  # no table, no manifest
 
+    def test_constant_draws_past_one_bin_exit_1_domain(self, capsys, tmp_path, monkeypatch):
+        # a member whose draws are one constant of magnitude 2**53 or more
+        # gets no histogram bin of positive width
+        def constant(params, n, rng):
+            return np.full((n, params.m), 3.25e300)
+
+        monkeypatch.setattr(harness, "qgauss_sample", constant)
+        cfg = tmp_path / "shape.cfg"
+        cfg.write_text(TINY_CONFIG.replace("critical-values", "distribution-shape")
+                       .replace("M = 100", "M = 20\ndraws = 100"))
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(["shape", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {
+            "error": "the draws of the q=1.2, m=2 member all equal 3.25e+300, "
+                     "and a bin around it has no width in float64",
+            "kind": "domain",
+        }
+
     @pytest.mark.parametrize(
         "command, edits, expected",
         [

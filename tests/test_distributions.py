@@ -11,7 +11,7 @@ from oracles import (
     qgauss_log_pdf,
     radial_cdf_from_log_pdf,
 )
-from tsgof.errors import DomainError, InfeasibleModelError
+from tsgof.errors import DomainError, InfeasibleModelError, NotPositiveDefiniteError
 from tsgof.distributions import (
     GGParams,
     QGaussianParams,
@@ -20,7 +20,7 @@ from tsgof.distributions import (
     gg_tsallis_entropy,
     gg_variance_scale,
     qgauss_covariance_factor,
-    qgauss_entropy_of_log_det,
+    qgauss_null_entropies,
     qgauss_q_integral,
     qgauss_sample,
     qgauss_tsallis_entropy,
@@ -430,12 +430,41 @@ class TestOverflowingClosedForms:
         assert str(err.value) == message
 
     def test_entropy_past_float64_after_the_division_is_refused(self):
-        # at m = 1, q = 0.5 and log det Sigma = 2835.6, log I_q is 709.50:
-        # expm1 of it is finite (1.4e308), but dividing by 1 - q = 0.5 takes
+        # at m = 4, q = 0.5 and a covariance of 6.76e306 * I, log I_q is 709.4:
+        # expm1 of it is finite (1.2e308), but dividing by 1 - q = 0.5 takes
         # it past float64, which float division returns as inf
+        assert math.isfinite(math.expm1(709.4)) and math.expm1(709.4) / 0.5 == math.inf
         with pytest.raises(DomainError) as err:
-            qgauss_entropy_of_log_det(1, 0.5)(2835.6)
-        assert str(err.value) == "q-Gaussian entropy overflows float64: log I_q = 709.502"
+            qgauss_null_entropies(np.eye(4)[None] * 6.76e306, 0.5)
+        assert str(err.value) == "q-Gaussian entropy overflows float64: log I_q = 709.4"
+
+
+class TestQGaussNullEntropies:
+    # covariances of t1 (q = 1.2) and t2 (q = 0.5) null samples, scaled by
+    # 1e-3, 1 and 1e3
+    @pytest.mark.parametrize("q", [1.2, 0.5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_each_row_is_the_closed_form_of_its_matrix_alone(self, q, m):
+        params = QGaussianParams(m=m, q=q)
+        samples = np.stack([qgauss_sample(params, 20, RngStream(21, j)) for j in range(8)])
+        covariances = np.concatenate([sample_moments(samples)[1] * a for a in (1e-3, 1.0, 1e3)])
+        got = qgauss_null_entropies(covariances, q)
+        assert got.shape == (24,)
+        for cov, value in zip(covariances, got.tolist()):
+            # the product the statistic forms; cov / factor can differ in the last bit
+            sigma = cov * (1.0 / qgauss_covariance_factor(m, q))
+            assert value == qgauss_tsallis_entropy(QGaussianParams(m=m, q=q, sigma=sigma))
+            assert value == qgauss_null_entropies(cov[None], q)[0]
+
+    def test_singular_covariance_is_refused(self):
+        covariances = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(NotPositiveDefiniteError):
+            qgauss_null_entropies(covariances, 1.2)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, math.nan])
+    def test_order_is_checked_first(self, q):
+        with pytest.raises(DomainError, match="entropy order q"):
+            qgauss_null_entropies(np.zeros((1, 2, 2)), q)
 
 
 class TestClosedFormProperties:

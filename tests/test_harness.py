@@ -811,6 +811,23 @@ class TestDistributionShape:
         got = harness._histogram(values)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "c, refused",
+        [(3.25, False), (3.25e15, False), (-3.25e15, False),
+         (2.0**52 + 2, True), (2.0**53, True), (3.25e300, True), (-3.25e300, True)],
+    )
+    def test_constant_gets_numpys_one_bin_or_a_domain_error(self, c, refused):
+        # numpy widens the zero range to (c - 0.5, c + 0.5); where both edges
+        # round back to c, numpy itself fails with "Too many bins"
+        if not refused:
+            assert harness._histogram(np.full(50, c)).tolist() == [[c - 0.5, c + 0.5, 1.0]]
+            return
+        with pytest.raises(DomainError) as err:
+            harness._histogram(np.full(50, c), "the draws")
+        assert str(err.value) == (
+            f"the draws all equal {c!r}, and a bin around it has no width in float64"
+        )
+
     def test_qq_pairs_are_sorted(self, tmp_path):
         files = run_files(self.make_config(), tmp_path)
         rows = files["shape_stat_qq.csv"]
