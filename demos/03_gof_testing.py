@@ -1,10 +1,11 @@
 """Goodness-of-fit testing against q-Gaussian nulls.
 
-The statistic is the gap between the largest Tsallis entropy the null
-family allows at the plug-in sample covariance and the nearest-neighbor
-entropy estimate; it concentrates near zero under the null and is pushed
-up by alternatives like the uniform cube. Critical values come from
-Monte Carlo simulation under the null.
+The statistic Q is the Tsallis entropy of the null member with the
+plug-in covariance minus the nearest-neighbor entropy estimate. That
+member is not the entropy maximizer at that covariance, so Q can be
+negative; it concentrates near zero under the null and is pushed up by
+alternatives like the uniform cube. Critical values come from Monte Carlo
+simulation under the null.
 """
 
 from tsgof import QGaussianParams, RngStream, qgauss_sample, run_test

@@ -55,20 +55,23 @@ def _fail(kind: str, message: str, **extra) -> None:
     print(json.dumps({"error": message, "kind": kind, **extra}), file=sys.stderr)
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a numeric CSV matrix; the first line may be a header, which is
-    auto-detected by non-numeric tokens. All rows must have equal arity."""
+    """Read a numeric CSV matrix; the first line is a header when none of its
+    tokens is a number, and a bad row when only some are. All rows must have
+    equal arity."""
     path = Path(path)
     lines = _read_text(path, "").splitlines()
     rows = []
     arity = None
-    start = 0
-    if lines:
-        first = [tok.strip() for tok in lines[0].split(",")]
-        try:
-            [float(tok) for tok in first]
-        except ValueError:
-            start = 1  # header line
+    start = int(bool(lines) and not any(map(_is_float, lines[0].split(","))))
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -112,25 +115,20 @@ def _parse_mu(spec: str | None, m: int) -> np.ndarray:
     return np.asarray(values)
 
 
+# sampled family -> (its shape flag, parameter class, sampler)
+_SAMPLERS = {"gg": ("s", GGParams, gg_sample), "qgauss": ("q", QGaussianParams, qgauss_sample)}
+
+
 def _cmd_sample(args) -> int:
-    if args.family == "gg":
-        if args.s is None:
-            raise DomainError("--family gg requires --s")
-        if args.q is not None:
-            raise DomainError("--family gg takes --s, not --q")
-        params = GGParams(
-            m=args.m, s=args.s, alpha=_parse_mu(args.mu, args.m), sigma=_load_sigma(args.sigma, args.m)
-        )
-        draws = gg_sample(params, args.n, RngStream(args.seed))
-    else:
-        if args.q is None:
-            raise DomainError("--family qgauss requires --q")
-        if args.s is not None:
-            raise DomainError("--family qgauss takes --q, not --s")
-        params = QGaussianParams(
-            m=args.m, q=args.q, mu=_parse_mu(args.mu, args.m), sigma=_load_sigma(args.sigma, args.m)
-        )
-        draws = qgauss_sample(params, args.n, RngStream(args.seed))
+    flag, params_class, sampler = _SAMPLERS[args.family]
+    if getattr(args, flag) is None:
+        raise DomainError(f"--family {args.family} requires --{flag}")
+    for other, _, _ in _SAMPLERS.values():
+        if other != flag and getattr(args, other) is not None:
+            raise DomainError(f"--family {args.family} takes --{flag}, not --{other}")
+    location = _parse_mu(args.mu, args.m)
+    params = params_class(args.m, getattr(args, flag), location, _load_sigma(args.sigma, args.m))
+    draws = sampler(params, args.n, RngStream(args.seed))
     text = _csv_text(draws)
     if args.out is None:
         sys.stdout.write(text)
@@ -182,11 +180,13 @@ def _cmd_gof(args) -> int:
     return _EXIT_OK
 
 
-_KIND_BY_COMMAND = {
-    "critical-values": ("critical-values",),
-    "normality-sweep": ("normality-sweep",),
-    "convergence": ("convergence", "consistency-curves"),
-    "shape": ("distribution-shape",),
+# experiment subcommand -> (help text, the config kinds it runs)
+_EXPERIMENTS = {
+    "critical-values": ("simulate critical-value tables", ("critical-values",)),
+    "normality-sweep": ("average Shapiro-Wilk p-values over the grid", ("normality-sweep",)),
+    "convergence": ("statistic convergence curves and rate regression",
+                    ("convergence", "consistency-curves")),
+    "shape": ("statistic samples, densities and Q-Q data", ("distribution-shape",)),
 }
 
 
@@ -194,7 +194,7 @@ def _cmd_experiment(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config)
-    allowed = _KIND_BY_COMMAND[args.command]
+    allowed = _EXPERIMENTS[args.command][1]
     if config.kind not in allowed:
         raise ConfigError(
             f"config kind {config.kind!r} does not match subcommand {args.command!r} "
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw from a model family, write CSV")
-    p.add_argument("--family", choices=("gg", "qgauss"), required=True)
+    p.add_argument("--family", choices=tuple(_SAMPLERS), required=True)
     p.add_argument("--m", type=int, required=True, help="dimension")
     p.add_argument("--q", type=float, default=None, help="entropic index (qgauss)")
     p.add_argument("--s", type=float, default=None, help="shape exponent (gg)")
@@ -243,12 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for --simulate")
     p.set_defaults(func=_cmd_gof)
 
-    for name, help_text in (
-        ("critical-values", "simulate critical-value tables"),
-        ("normality-sweep", "average Shapiro-Wilk p-values over the grid"),
-        ("convergence", "statistic convergence curves and rate regression"),
-        ("shape", "statistic samples, densities and Q-Q data"),
-    ):
+    for name, (help_text, _) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--workers", type=int, default=1)

@@ -32,7 +32,7 @@ from scipy.special import betaln, gammaln
 
 from .errors import DomainError, InfeasibleModelError
 from .linalg import SymPDMatrix, log_det
-from .mathcore import RngStream
+from .mathcore import RngStream, _positive_integer
 
 
 def _as_location(vec, m: int, name: str) -> np.ndarray:
@@ -69,9 +69,7 @@ class GGParams:
     sigma: SymPDMatrix = None
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _positive_integer(self.m, "dimension"))
         if not (self.s > 0):
             raise DomainError(f"shape exponent s must be positive, got {self.s!r}")
         object.__setattr__(self, "alpha", _as_location(self.alpha, self.m, "alpha"))
@@ -88,9 +86,7 @@ class QGaussianParams:
     sigma: SymPDMatrix = None
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _positive_integer(self.m, "dimension"))
         if not np.isfinite(self.q):
             raise DomainError(f"entropic index q must be finite, got {self.q!r}")
         if self.q > 1 and not self.q < 1.0 + 2.0 / self.m:
@@ -116,8 +112,7 @@ class QGaussianParams:
 
 def gg_variance_scale(m: int, s: float) -> float:
     """Scale factor beta(m, s) with Var(X) = beta * Sigma."""
-    if int(m) != m or m < 1:
-        raise DomainError(f"dimension must be a positive integer, got {m!r}")
+    _positive_integer(m, "dimension")
     if not (s > 0):
         raise DomainError(f"shape exponent s must be positive, got {s!r}")
     return math.exp(
@@ -282,8 +277,7 @@ def qgauss_covariance_factor(m: int, q: float) -> float:
     Valid on both branches; on the heavy-tail branch the covariance exists
     only for q < 1 + 2/(m+2).
     """
-    if int(m) != m or m < 1:
-        raise DomainError(f"dimension must be a positive integer, got {m!r}")
+    _positive_integer(m, "dimension")
     if q > 1 and not q < 1.0 + 2.0 / (m + 2.0):
         raise InfeasibleModelError(
             f"q-Gaussian covariance does not exist for q={q}, m={m}: "

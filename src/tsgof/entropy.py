@@ -24,7 +24,7 @@ from scipy.special import gammaln
 from .errors import DegenerateSampleError, DomainError
 from .knn import knn_distances
 from .linalg import as_sample_matrix
-from .mathcore import exact_sums, unit_ball_volume
+from .mathcore import _positive_integer, exact_sums, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def knn_bias_constant(k: int, q: float) -> float:
     Defined for integer k >= 1 and 0 < q < k+1, q != 1; at q = k+1 the
     denominator hits the Gamma pole.
     """
-    if int(k) != k or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    _positive_integer(k, "k")
     if not (0 < q < k + 1):
         raise DomainError(f"order q must satisfy 0 < q < k+1 = {k + 1}, got {q!r}")
     if q == 1:
@@ -127,10 +126,8 @@ def check_consistency_conditions(
     r_c > m(1-q)/q; convergence in mean square additionally needs q > 1/2
     and r_c > 2m(1-q)/(2q-1). The inequalities are strict.
     """
-    if int(m) != m or m < 1:
-        raise DomainError(f"dimension must be a positive integer, got {m!r}")
-    if int(k) != k or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    _positive_integer(m, "dimension")
+    _positive_integer(k, "k")
     if not (q > 0) or q == 1:
         raise DomainError(f"order q must be positive and != 1, got {q!r}")
     if math.isinf(tail_exponent_beta):

@@ -81,6 +81,7 @@ KINDS = {
 # changes result bytes, so it is part of the cell-cache key
 STREAM_LAYOUT = 2
 
+_TABLE_MIN_M = 100  # the fewest replications a critical-value table takes
 _BIN_RULE = "freedman-diaconis (numpy histogram_bin_edges 'fd')"
 _MAX_BINS = 2**22  # a histogram that would need more bins is refused
 
@@ -126,8 +127,8 @@ class ExperimentConfig:
             for key, values in (("m", block.ms), ("k", block.ks)):
                 if any(v < 1 for v in values):
                     raise ConfigError(f"grid key {key!r} must be at least 1, got {min(values)}")
-        if self.kind == "critical-values" and self.replications < 100:
-            raise ConfigError("critical-value tables require M >= 100 replications")
+        if self.kind == "critical-values" and self.replications < _TABLE_MIN_M:
+            raise ConfigError(f"critical-value tables require M >= {_TABLE_MIN_M} replications")
         if self.replications < 2:
             raise ConfigError("M must be at least 2")
         if self.kind == "normality-sweep" and not 3 <= self.inner_batch <= SHAPIRO_WILK_MAX_N:
@@ -581,7 +582,7 @@ def _csv_text(rows, header: str | None = None) -> str:
     """CSV text of rows, every value written by _fmt, after header if given."""
     lines = [] if header is None else [header]
     lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def read_critical_value(path, q: float, m: int, k: int, n: int, alpha: float) -> float | None:
@@ -611,8 +612,8 @@ def read_critical_value(path, q: float, m: int, k: int, n: int, alpha: float) ->
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         if crit is not None and not math.isfinite(crit):
             raise ConfigError(f"{path}:{lineno}: critical values must be finite")
-        if replications < 100:
-            raise ConfigError(f"{path}:{lineno}: critical-value tables require M >= 100")
+        if replications < _TABLE_MIN_M:
+            raise ConfigError(f"{path}:{lineno}: critical-value tables require M >= {_TABLE_MIN_M}")
         if (
             (row_m, row_k, row_n) == (m, k, n)
             and math.isclose(row_q, q, rel_tol=0.0, abs_tol=1e-9)

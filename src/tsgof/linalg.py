@@ -15,7 +15,7 @@ and one for the covariance entries.
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .mathcore import exact_sums
+from .mathcore import _positive_integer, exact_sums
 
 _SYMMETRY_RTOL = 1e-12
 _PIVOT_RTOL = 1e-12
@@ -59,9 +59,7 @@ class SymPDMatrix:
 
     @classmethod
     def identity(cls, m: int) -> "SymPDMatrix":
-        if int(m) != m or m < 1:
-            raise DomainError(f"dimension must be a positive integer, got {m!r}")
-        return cls(np.eye(int(m)))
+        return cls(np.eye(_positive_integer(m, "dimension")))
 
     def __repr__(self):
         return f"SymPDMatrix({self.entries.tolist()!r})"

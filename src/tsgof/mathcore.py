@@ -78,11 +78,17 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
+def _positive_integer(value, name: str) -> int:
+    """int(value); a DomainError naming name when value is not a positive integer."""
+    if int(value) != value or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m: pi^(m/2) / Gamma(m/2 + 1). It is
     subnormal from m = 436; from m = 453 it underflows to 0.0, a DomainError."""
-    if int(m) != m or m < 1:
-        raise DomainError(f"dimension must be a positive integer, got {m!r}")
+    _positive_integer(m, "dimension")
     volume = math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0))
     if volume == 0.0:
         raise DomainError(f"the volume of the unit ball in R^{m} underflows float64")

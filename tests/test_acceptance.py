@@ -1,5 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a
-[PASS]/[FAIL] line with the measured numbers.
+[PASS]/[FAIL] line with the measured numbers. Each criterion also records
+its numbers, before it asserts, in <pytest basetemp>/acceptance_numbers.json,
+whose path the run prints at the end.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 
@@ -55,12 +57,13 @@ def report(name: str, ok: bool, detail: str = ""):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_01_estimator_two_point_exactness():
+def test_criterion_01_estimator_two_point_exactness(record_numbers):
     est = tsallis_knn_estimate([[0.0], [1.0]], k=1, q=0.5)
     expected_i = math.sqrt(8.0 / math.pi)
     expected_h = (1.0 - expected_i) / (0.5 - 1.0)
     err_i = abs(est.i_hat - expected_i)
     err_h = abs(est.h_hat - expected_h)
+    record_numbers("criterion_01", abs_error_i_hat=err_i, abs_error_h_hat=err_h)
     ok = err_i <= 1e-12 and err_h <= 1e-12
     report("criterion 1 (two-point exactness)", ok, f"|di|={err_i:.2e} |dh|={err_h:.2e}")
     assert ok
@@ -85,7 +88,7 @@ def _uniform_cell(args):
     return m, q, k, means, sds
 
 
-def test_criterion_02_estimator_consistency_uniform_cube():
+def test_criterion_02_estimator_consistency_uniform_cube(record_numbers):
     """|mean h_hat| <= 0.04 over the uniform-cube grid at N=5000.
 
     The m=1 and m=2 cells satisfy the band. The m=3 cells cannot: the
@@ -110,6 +113,14 @@ def test_criterion_02_estimator_consistency_uniform_cube():
             tsallis_knn_estimate(RngStream(1, m).generator.random((100, m)), 1, 2.0)
 
     results = deterministic_map(_uniform_cell, combos, workers=WORKERS)
+    cells = {
+        f"m={m} q={q} k={k}": {"mean_at_5000": means[5000], "mean_at_500": means[500],
+                               "sd_at_5000": sds[5000], "sd_at_500": sds[500]}
+        for m, q, k, means, sds in results
+    }
+    worst = max(cells, key=lambda cell: abs(cells[cell]["mean_at_5000"]))
+    record_numbers("criterion_02", cells=cells, worst_cell=worst,
+                   worst_mean_at_5000=cells[worst]["mean_at_5000"])
     failures = []
     for m, q, k, means, sds in results:
         bias_ok = abs(means[5000]) <= 0.04
@@ -136,18 +147,14 @@ def test_criterion_02_estimator_consistency_uniform_cube():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_03_closed_form_quadrature_cross_check():
-    worst = 0.0
-    checked = 0
+def test_criterion_03_closed_form_quadrature_cross_check(record_numbers):
+    rels = {}
     for m in (1, 2):
         for s in (1.0, 2.0, 3.0):
             for q in (0.5, 0.8, 1.5, 2.0):
                 closed = gg_q_integral(m, s, None, q)
                 numeric = pdf_power_integral_quadrature(GGParams(m=m, s=s), q)
-                rel = abs(closed - numeric) / abs(numeric)
-                worst = max(worst, rel)
-                checked += 1
-                assert rel <= 1e-6, f"gg m={m} s={s} q={q}: rel={rel:.2e}"
+                rels[f"gg m={m} s={s} q={q}"] = abs(closed - numeric) / abs(numeric)
     for m in (1, 2):
         for q in (0.5, 0.8, 1.5, 2.0):
             if q > 1 and not q < 1.0 + 2.0 / m:
@@ -157,14 +164,15 @@ def test_criterion_03_closed_form_quadrature_cross_check():
             params = QGaussianParams(m=m, q=q)
             closed = qgauss_q_integral(params)
             numeric = pdf_power_integral_quadrature(params, q)
-            rel = abs(closed - numeric) / abs(numeric)
-            worst = max(worst, rel)
-            checked += 1
-            assert rel <= 1e-6, f"qgauss m={m} q={q}: rel={rel:.2e}"
+            rels[f"qgauss m={m} q={q}"] = abs(closed - numeric) / abs(numeric)
+    worst = max(rels.values())
+    record_numbers("criterion_03", relative_errors=rels, worst_relative_error=worst)
+    for name, rel in rels.items():
+        assert rel <= 1e-6, f"{name}: rel={rel:.2e}"
     report(
         "criterion 3 (closed form vs quadrature)",
         True,
-        f"{checked} integrals, worst relative error {worst:.2e} "
+        f"{len(rels)} integrals, worst relative error {worst:.2e} "
         "(non-normalizable qgauss m=2 q=2 correctly rejected)",
     )
 
@@ -184,30 +192,33 @@ def _radial_ks_pvalue(args):
     return float(sps.ks_1samp(radii, lambda r: np.interp(r, grid, cdf)).pvalue)
 
 
-def test_criterion_04_sampler_correctness():
-    all_ok = True
+def test_criterion_04_sampler_correctness(record_numbers):
+    hits, min_p = {}, {}
     for m, q in ((1, 0.5), (2, 1.2), (3, 1.3)):
         pvals = deterministic_map(
             _radial_ks_pvalue, [(m, q, 30_000 + 10 * s) for s in range(10)], workers=WORKERS
         )
-        hits = sum(p > 0.01 for p in pvals)
-        ok = hits >= 9
-        all_ok = all_ok and ok
-        print(f"  radial KS m={m} q={q}: {hits}/10 seeds above p=0.01 (min p={min(pvals):.3f})")
-        assert ok
+        member = f"m={m} q={q}"
+        hits[member], min_p[member] = sum(p > 0.01 for p in pvals), min(pvals)
+        print(f"  radial KS {member}: {hits[member]}/10 seeds above p=0.01 "
+              f"(min p={min_p[member]:.3f})")
 
+    deviations = {}
     sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
     for s in (1.0, 2.0, 3.0):
         params = GGParams(m=2, s=s, sigma=SymPDMatrix(sigma))
         draws = gg_sample(params, 100_000, RngStream(31_000 + int(s), 0))
         cov = sample_moments(draws[None])[1][0]
         target = gg_variance_scale(2, s) * sigma
-        rel = np.max(np.abs(cov / target - 1.0))
+        deviations[f"s={s}"] = rel = float(np.max(np.abs(cov / target - 1.0)))
         print(f"  gg variance s={s}: max relative deviation {rel:.3f}")
-        ok = rel < 0.05
-        all_ok = all_ok and ok
-        assert ok
-    report("criterion 4 (sampler correctness)", all_ok)
+    record_numbers("criterion_04", radial_ks_seeds_above_p_0_01=hits, radial_ks_min_p=min_p,
+                   gg_variance_max_relative_deviation=deviations)
+    ks_ok = {member: count >= 9 for member, count in hits.items()}
+    variance_ok = {s: rel < 0.05 for s, rel in deviations.items()}
+    report("criterion 4 (sampler correctness)", all(ks_ok.values()) and all(variance_ok.values()))
+    assert all(ks_ok.values()), ks_ok
+    assert all(variance_ok.values()), variance_ok
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +226,22 @@ def test_criterion_04_sampler_correctness():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_05_knn_oracle_equivalence():
+def test_criterion_05_knn_oracle_equivalence(record_numbers):
     gen = RngStream(40_000, 0).generator
+    mismatches = []
     for trial in range(100):
         n = int(gen.integers(5, 2001))
         m = int(gen.integers(1, 6))
         k = int(gen.integers(1, min(6, n)))
         x = gen.standard_normal((n, m)) * float(gen.uniform(0.01, 50.0))
-        assert np.array_equal(
-            knn_distances_bruteforce(x, k), knn_distances(x, k)
-        ), f"trial {trial}: n={n} m={m} k={k}"
+        if not np.array_equal(knn_distances_bruteforce(x, k), knn_distances(x, k)):
+            mismatches.append(f"trial {trial}: n={n} m={m} k={k}")
     lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1).reshape(-1, 2)
     for k in (1, 2, 3, 4):
-        assert np.array_equal(
-            knn_distances_bruteforce(lattice, k), knn_distances(lattice, k)
-        )
+        if not np.array_equal(knn_distances_bruteforce(lattice, k), knn_distances(lattice, k)):
+            mismatches.append(f"lattice k={k}")
+    record_numbers("criterion_05", configurations=104, mismatches=mismatches)
+    assert not mismatches, mismatches
     report(
         "criterion 5 (knn oracle equivalence)",
         True,
@@ -258,11 +270,13 @@ def _power_trial(t):
     return result.reject
 
 
-def test_criterion_06_test_level_and_power():
+def test_criterion_06_test_level_and_power(record_numbers):
     size_count = sum(deterministic_map(_size_trial, range(500), workers=WORKERS))
     size = size_count / 500
     power_count = sum(deterministic_map(_power_trial, range(200), workers=WORKERS))
     power = power_count / 200
+    record_numbers("criterion_06", size_rejections_of_500=size_count, size=size,
+                   power_rejections_of_200=power_count, power=power)
     # 0.05 +/- 0.02 of 500 trials is 25 +/- 10 rejections, compared exactly
     size_ok = abs(size_count - 25) <= 10
     power_ok = power > size and power >= 0.5
@@ -293,7 +307,7 @@ REFERENCE_CRITICAL_VALUES = {
 }
 
 
-def test_criterion_07_critical_value_reference_comparison(tmp_path):
+def test_criterion_07_critical_value_reference_comparison(tmp_path, record_numbers):
     config = ExperimentConfig(
         kind="critical-values",
         grids=(GridBlock(qs=(1.2,), ms=(2, 3), ks=(1, 2, 3), ns=(100, 500, 1000)),),
@@ -304,12 +318,13 @@ def test_criterion_07_critical_value_reference_comparison(tmp_path):
     )
     run_experiment(config, out_dir=tmp_path, workers=WORKERS)
     lines = (tmp_path / "critical_values.csv").read_text().strip().splitlines()[1:]
-    assert len(lines) == 18
     within_band = 0
+    crits = {}
     print("  m k    N      crit   reference   |diff|  within +/-0.015")
     for line in lines:
         q, m, k, n, alpha, crit, *_ = line.split(",")
         crit = float(crit)  # completion requires a numeric value in every cell
+        crits[f"m={m} k={k} N={n}"] = crit
         ref = REFERENCE_CRITICAL_VALUES[(int(m), int(k), int(n))]
         diff = abs(crit - ref)
         agree = diff <= 0.015
@@ -317,6 +332,8 @@ def test_criterion_07_critical_value_reference_comparison(tmp_path):
         print(
             f"  {m} {k} {n:>5}  {crit:8.5f}   {ref:8.5f}  {diff:7.5f}  {'yes' if agree else 'no'}"
         )
+    record_numbers("criterion_07", crit=crits, cells_within_band=within_band)
+    assert len(lines) == 18
     report(
         "criterion 7 (critical-value comparison, non-blocking)",
         True,
@@ -332,7 +349,7 @@ def test_criterion_07_critical_value_reference_comparison(tmp_path):
 REFERENCE_SLOPE_MAGNITUDES = {(1.2, 1): 0.0085, (1.2, 2): 0.0006, (1.5, 1): 0.0047}
 
 
-def test_criterion_08_convergence_rate_slopes(tmp_path):
+def test_criterion_08_convergence_rate_slopes(tmp_path, record_numbers):
     """Offset log-log regression slopes over the stated grid, |slope| <= 0.05.
 
     The (q=1.2, m) cells genuinely satisfy the band (ground truth at
@@ -354,7 +371,6 @@ def test_criterion_08_convergence_rate_slopes(tmp_path):
     )
     run_experiment(config, out_dir=tmp_path, workers=WORKERS)
     regression = (tmp_path / "regression.csv").read_text().strip().splitlines()[1:]
-    assert len(regression) == 4
     slopes = {}
     infeasible = []
     for line in regression:
@@ -364,6 +380,9 @@ def test_criterion_08_convergence_rate_slopes(tmp_path):
             infeasible.append(key)
         else:
             slopes[key] = float(beta)
+    record_numbers("criterion_08", slopes={f"q={q} m={m}": b for (q, m), b in slopes.items()},
+                   infeasible=[f"q={q} m={m}" for q, m in infeasible])
+    assert len(regression) == 4
     # (q=1.5, m=2) exceeds the covariance-bridge bound q < 1 + 2/(m+2) = 1.5
     # and is emitted as an explicit infeasible row rather than a number
     assert infeasible == [(1.5, 2)]
@@ -404,7 +423,7 @@ def _normality_rows(out_dir, qs, ks):
     return rows
 
 
-def test_criterion_09a_normality_trend_q_direction(tmp_path):
+def test_criterion_09a_normality_trend_q_direction(tmp_path, record_numbers):
     """Stated comparison: mean Shapiro-Wilk p at q=1.1 exceeds that at q=2.0
     for (m=2, k=1, N=1000).
 
@@ -416,6 +435,7 @@ def test_criterion_09a_normality_trend_q_direction(tmp_path):
     """
     rows = _normality_rows(tmp_path, qs=(1.1, 2.0), ks=(1,))
     p_low, p_high = rows[(1.1, 1)], rows[(2.0, 1)]
+    record_numbers("criterion_09a", mean_p_q_1_1=p_low, mean_p_q_2_0=p_high)
     feasible = not isinstance(p_high, str)
     report(
         "criterion 9a (mean p: q=1.1 vs q=2.0 at m=2)",
@@ -430,7 +450,7 @@ def test_criterion_09a_normality_trend_q_direction(tmp_path):
     assert p_low > p_high
 
 
-def test_criterion_09b_normality_trend_k_direction(tmp_path):
+def test_criterion_09b_normality_trend_k_direction(tmp_path, record_numbers):
     """k=1 mean p >= k=3 mean p at q=1.2, m=2, N=1000.
 
     The direction is real but small: at M=400 outer replications the means
@@ -440,6 +460,7 @@ def test_criterion_09b_normality_trend_k_direction(tmp_path):
     """
     rows = _normality_rows(tmp_path, qs=(1.2,), ks=(1, 3))
     p_k1, p_k3 = rows[(1.2, 1)], rows[(1.2, 3)]
+    record_numbers("criterion_09b", mean_p_k_1=p_k1, mean_p_k_3=p_k3)
     ok = p_k1 >= p_k3
     report(
         "criterion 9b (mean p: k=1 vs k=3 at q=1.2)",
@@ -471,7 +492,8 @@ def _tiny_configs():
     ]
 
 
-def test_criterion_10_determinism_across_worker_counts(tmp_path):
+def test_criterion_10_determinism_across_worker_counts(tmp_path, record_numbers):
+    identical = {}
     for config in _tiny_configs():
         outputs = {}
         for workers in (1, 4, 8):
@@ -480,6 +502,8 @@ def test_criterion_10_determinism_across_worker_counts(tmp_path):
             outputs[workers] = {
                 name: path.read_bytes() for name, path in sorted(paths.items())
             }
-        assert outputs[1] == outputs[4] == outputs[8], config.kind
-        print(f"  {config.kind}: byte-identical across workers 1/4/8")
+        identical[config.kind] = outputs[1] == outputs[4] == outputs[8]
+        print(f"  {config.kind}: byte-identical across workers 1/4/8: {identical[config.kind]}")
+    record_numbers("criterion_10", byte_identical_across_workers_1_4_8=identical)
+    assert all(identical.values()), identical
     report("criterion 10 (worker-count determinism)", True, "all five experiment kinds")

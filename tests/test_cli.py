@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsgof import harness
+from tsgof import cli, harness
 from tsgof.cli import build_parser, main, read_matrix_csv
 from tsgof.errors import ConfigError
 
@@ -117,14 +117,24 @@ class TestSample:
                                   "-0.17632064076163326\n0.450918761295009\n")
 
     def test_family_flag_consistency(self, capsys):
-        code, _, err = run_cli(
-            ["sample", "--family", "gg", "--m", "1", "--q", "1.2", "--n", "10",
-             "--seed", "1"], capsys)
-        assert code == 1
-        code, _, err = run_cli(
-            ["sample", "--family", "qgauss", "--m", "1", "--s", "2", "--n", "10",
-             "--seed", "1"], capsys)
-        assert code == 1
+        for family, flags, message in (
+            ("gg", ["--q", "1.2"], "--family gg requires --s"),
+            ("gg", ["--s", "2", "--q", "1.2"], "--family gg takes --s, not --q"),
+            ("qgauss", ["--s", "2"], "--family qgauss requires --q"),
+            ("qgauss", ["--q", "1.2", "--s", "2"], "--family qgauss takes --q, not --s"),
+        ):
+            code, out, err = run_cli(
+                ["sample", "--family", family, "--m", "1", *flags, "--n", "10", "--seed", "1"],
+                capsys)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": message, "kind": "domain"}
+
+    def test_zero_draws_write_nothing(self, capsys, tmp_path):
+        args = ["sample", "--family", "gg", "--m", "2", "--s", "2", "--n", "0", "--seed", "5"]
+        assert run_cli(args, capsys) == (0, "", "")
+        out = tmp_path / "empty.csv"
+        assert run_cli([*args, "--out", str(out)], capsys) == (0, "", "")
+        assert out.read_bytes() == b""
 
     def test_sigma_file_and_mu(self, capsys, tmp_path):
         sigma = tmp_path / "sigma.csv"
@@ -202,6 +212,16 @@ class TestEntropy:
         code, out, _ = run_cli(["entropy", "--in", str(data), "--k", "1", "--q", "0.5"], capsys)
         assert code == 0
         assert json.loads(out)["N"] == 3
+
+    def test_half_numeric_first_line_is_a_bad_row(self, capsys, tmp_path):
+        data = tmp_path / "h.csv"
+        data.write_text("1,x\n3,4\n5,6\n7,9\n")
+        code, out, err = run_cli(["entropy", "--in", str(data), "--k", "1", "--q", "0.5"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": f"{data}:1: non-numeric value (could not convert string to float: 'x')",
+            "kind": "config",
+        }
 
     def test_ragged_row_names_line(self, capsys, tmp_path):
         data = tmp_path / "r.csv"
@@ -667,6 +687,14 @@ class TestExperimentCommands:
         code, _, err = run_cli(
             ["normality-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
         assert code == 2
+        assert json.loads(err)["error"] == (
+            "config kind 'critical-values' does not match subcommand 'normality-sweep' "
+            "(expected one of ('normality-sweep',))"
+        )
+
+    def test_subcommands_run_every_kind_once(self):
+        kinds = [kind for _, allowed in cli._EXPERIMENTS.values() for kind in allowed]
+        assert sorted(kinds) == sorted(harness.KINDS)
 
     def test_no_out_dir_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cv.cfg"

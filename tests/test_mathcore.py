@@ -5,8 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgof.distributions import GGParams, QGaussianParams, gg_variance_scale, qgauss_covariance_factor
+from tsgof.entropy import check_consistency_conditions, knn_bias_constant
 from tsgof.errors import DomainError
+from tsgof.linalg import SymPDMatrix
 from tsgof.mathcore import RngStream, content_index, exact_sums, unit_ball_volume
+
+# every parameter that must be a positive integer, as (name in the message, call)
+POSITIVE_INTEGER_SITES = {
+    "GGParams.m": ("dimension", lambda v: GGParams(m=v, s=2.0)),
+    "QGaussianParams.m": ("dimension", lambda v: QGaussianParams(m=v, q=0.5)),
+    "gg_variance_scale.m": ("dimension", lambda v: gg_variance_scale(v, 2.0)),
+    "qgauss_covariance_factor.m": ("dimension", lambda v: qgauss_covariance_factor(v, 0.5)),
+    "knn_bias_constant.k": ("k", lambda v: knn_bias_constant(v, 0.5)),
+    "check_consistency_conditions.m": (
+        "dimension", lambda v: check_consistency_conditions(math.inf, v, 0.5, 1)),
+    "check_consistency_conditions.k": (
+        "k", lambda v: check_consistency_conditions(math.inf, 1, 0.5, v)),
+    "SymPDMatrix.identity.m": ("dimension", SymPDMatrix.identity),
+    "unit_ball_volume.m": ("dimension", unit_ball_volume),
+}
+
+
+@pytest.mark.parametrize("site", sorted(POSITIVE_INTEGER_SITES))
+@pytest.mark.parametrize("bad", [0, -1, 2.5])
+def test_positive_integer_rule_refuses_with_one_message(site, bad):
+    name, call = POSITIVE_INTEGER_SITES[site]
+    with pytest.raises(DomainError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{name} must be a positive integer, got {bad!r}"
+
+
+def test_positive_integer_rule_coerces_an_integral_dimension():
+    assert type(GGParams(m=2.0, s=2.0).m) is int
+    assert type(QGaussianParams(m=np.int64(3), q=0.5).m) is int
+    assert SymPDMatrix.identity(2.0).dim == 2
 
 
 class TestUnitBallVolume:
