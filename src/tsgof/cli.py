@@ -3,7 +3,7 @@
 Subcommands: sample, entropy, gof, critical-values, normality-sweep,
 convergence, shape. Single-shot results are printed as JSON on stdout;
 experiment subcommands write CSV tables. Exit codes: 0 success, 1 domain
-or feasibility error, 2 I/O or configuration error, 1 on SIGINT (kind
+or feasibility error, 2 I/O, configuration or usage error, 1 on SIGINT (kind
 `interrupted`); any other exception is an internal error and exits 1.
 Error messages are single JSON objects on stderr; an input file that
 cannot be read or decoded as UTF-8 is a configuration error. Output files are
@@ -91,28 +91,26 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _load_sigma(spec: str, m: int) -> SymPDMatrix:
+def _load_sigma(spec: str, m: int) -> SymPDMatrix | None:
     if spec == "identity":
-        return SymPDMatrix.identity(m)
+        return None
     a = read_matrix_csv(spec)
     if a.shape != (m, m):
         raise DomainError(f"--sigma file must be {m}x{m}, got {a.shape[0]}x{a.shape[1]}")
     return SymPDMatrix(a)
 
 
-def _parse_mu(spec: str | None, m: int) -> np.ndarray:
+def _parse_mu(spec: str | None, m: int) -> list | None:
     if spec is None:
-        return np.zeros(m)
+        return None
     parts = [tok for tok in spec.replace(",", " ").split() if tok]
     try:
         values = [float(tok) for tok in parts]
     except ValueError as exc:
         raise DomainError(f"bad --mu value: {exc}") from exc
-    if len(values) == 1:
-        return np.full(m, values[0])
-    if len(values) != m:
+    if len(values) not in (1, m):
         raise DomainError(f"--mu needs 1 or {m} values, got {len(values)}")
-    return np.asarray(values)
+    return values * m if len(values) == 1 else values
 
 
 # sampled family -> (its shape flag, parameter class, sampler)
@@ -207,8 +205,13 @@ def _cmd_experiment(args) -> int:
     return _EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # for subparsers too: a usage error is a ConfigError
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tsgof",
         description="Tsallis-entropy goodness-of-fit toolkit",
     )
@@ -255,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except DomainError as exc:  # includes feasibility errors
         _fail("domain", str(exc))

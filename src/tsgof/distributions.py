@@ -12,10 +12,10 @@ Both are elliptical. Conventions used throughout:
       f(x) = C_q * [1 - (1-q)/2 * (x-mu)^T Sigma^{-1} (x-mu)]_+^(1/(1-q))
   Compactly supported for q < 1; for q > 1 it is a rescaled multivariate
   Student-t with dof = 2/(q-1) - m, normalizable only while that dof is
-  positive (q < 1 + 2/m). The covariance, when it exists
-  (q < 1 + 2/(m+2)), equals qgauss_covariance_factor(m, q) * Sigma on both
-  branches. q = 1 is admitted as the Gaussian limit for sampling only;
-  the order-q entropy functions require q != 1.
+  positive (q < 1 + 2/m). The covariance exists for q < 1 + 2/(m+2), and
+  equals qgauss_covariance_factor(m, q) * Sigma on both branches. Both
+  bounds are stated once, in _qgauss_tail_bound. q = 1 is admitted as the
+  Gaussian limit for sampling only; the order-q entropy functions require q != 1.
 
 Closed-form q-integrals (integral of f^q) and Tsallis entropies
 H_q = (integral(f^q) - 1) / (1 - q) come from the radial Beta reduction and
@@ -59,6 +59,18 @@ def _as_shape_matrix(sigma, m: int) -> SymPDMatrix:
     return sigma
 
 
+def _qgauss_tail_bound(m: int, q: float, covariance: bool = False) -> str | None:
+    """Why the index-q member in R^m has no density or, with covariance, no covariance."""
+    if not q > 1:
+        return None
+    if not q < 1.0 + 2.0 / m:
+        return f"not normalizable: requires q < 1 + 2/m = {1.0 + 2.0 / m} for m={m}, got q={q}"
+    bound = 1.0 + 2.0 / (m + 2.0)
+    if covariance and not q < bound:
+        return f"covariance bridge requires q < 1 + 2/(m+2) = {bound} for m={m}, got q={q}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class GGParams:
     """Generalized Gaussian parameters (dimension, shape exponent, location, shape matrix)."""
@@ -89,11 +101,8 @@ class QGaussianParams:
         object.__setattr__(self, "m", _positive_integer(self.m, "dimension"))
         if not np.isfinite(self.q):
             raise DomainError(f"entropic index q must be finite, got {self.q!r}")
-        if self.q > 1 and not self.q < 1.0 + 2.0 / self.m:
-            raise InfeasibleModelError(
-                f"q-Gaussian with q={self.q} is not normalizable in dimension m={self.m}: "
-                f"requires q < 1 + 2/m = {1.0 + 2.0 / self.m}"
-            )
+        if reason := _qgauss_tail_bound(self.m, self.q):
+            raise InfeasibleModelError(reason)
         object.__setattr__(self, "mu", _as_location(self.mu, self.m, "mu"))
         object.__setattr__(self, "sigma", _as_shape_matrix(self.sigma, self.m))
 
@@ -231,7 +240,7 @@ def _qgauss_log_radial(m: int, q: float, exponent_num: float) -> float:
     q-integral. Both branches reduce to a Beta function:
       q < 1: (1/2) a^(-m/2) B(m/2, p + 1),        a = (1-q)/2, p = exponent_num/(1-q)
       q > 1: (1/2) a^(-m/2) B(m/2, p' - m/2),     a = (q-1)/2, p' = exponent_num/(q-1)
-    the second converging only for p' > m/2.
+    the second converging only for p' > m/2, which _qgauss_tail_bound ensures.
     """
     if q < 1:
         a = 0.5 * (1.0 - q)
@@ -239,11 +248,6 @@ def _qgauss_log_radial(m: int, q: float, exponent_num: float) -> float:
         return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p + 1.0)
     a = 0.5 * (q - 1.0)
     p = exponent_num / (q - 1.0)
-    if not p > 0.5 * m:
-        raise InfeasibleModelError(
-            f"radial integral diverges: requires {exponent_num}/(q-1) > m/2, "
-            f"i.e. q < {1.0 + 2.0 * exponent_num / m} for m={m}, got q={q}"
-        )
     return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p - 0.5 * m)
 
 
@@ -278,11 +282,8 @@ def qgauss_covariance_factor(m: int, q: float) -> float:
     only for q < 1 + 2/(m+2).
     """
     _positive_integer(m, "dimension")
-    if q > 1 and not q < 1.0 + 2.0 / (m + 2.0):
-        raise InfeasibleModelError(
-            f"q-Gaussian covariance does not exist for q={q}, m={m}: "
-            f"requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)}"
-        )
+    if reason := _qgauss_tail_bound(m, q, covariance=True):
+        raise InfeasibleModelError(reason)
     return 2.0 / (2.0 + (1.0 - q) * (m + 2.0))
 
 

@@ -16,7 +16,7 @@ it.
 
 Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
 't2', the compact-support q-Gaussian. `infeasibility_reason` is the one
-feasibility rule for both.
+feasibility rule for both; t1's two tail bounds come from `distributions`.
 
 The observed Q and every null replicate go through one function of a
 stack of samples. Its null half is `distributions.qgauss_null_entropies`
@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import QGaussianParams, qgauss_null_entropies, qgauss_sample
+from .distributions import QGaussianParams, _qgauss_tail_bound, qgauss_null_entropies, qgauss_sample
 from .entropy import knn_bias_constant, lps_block
 from .errors import ConfigError, DomainError, InfeasibleModelError
 from .linalg import as_sample_matrix, sample_moments
@@ -79,17 +79,14 @@ def infeasibility_reason(
         return f"family t2 requires q in (0, 1), got q={q}"
     if family == "t1" and not (1.0 < q < 3.0):
         return f"family t1 requires q in (1, 3), got q={q}"
-    if family == "t1" and not q < 1.0 + 2.0 / m:
-        return f"not normalizable: requires q < 1 + 2/m = {1.0 + 2.0 / m} for m={m}, got q={q}"
+    if reason := _qgauss_tail_bound(m, q):
+        return reason
     if k is not None and not q < k + 1:
         return f"estimator requires q < k + 1 = {k + 1}, got q={q}"
     if k is not None and not n > k:
         return f"estimator requires N > k, got N={n}, k={k}"
-    if bridge and family == "t1" and not q < 1.0 + 2.0 / (m + 2.0):
-        return (
-            f"covariance bridge requires q < 1 + 2/(m+2) = {1.0 + 2.0 / (m + 2.0)} "
-            f"for m={m}, got q={q}"
-        )
+    if bridge and (reason := _qgauss_tail_bound(m, q, covariance=True)):
+        return reason
     if bridge and n is not None and not n > m:
         return f"sample covariance requires N > m, got N={n}, m={m}"
     return None

@@ -69,8 +69,6 @@ class RngStream:
         identity through splitmix64, so children of distinct parents (or
         distinct indices) do not collide in practice.
         """
-        if index < 0:
-            raise DomainError("child index must be nonnegative")
         mixed = _splitmix64(self.master_seed ^ _splitmix64(self.stream_index))
         return RngStream(mixed, index)
 

@@ -129,6 +129,39 @@ class TestSample:
             assert (code, out) == (1, "")
             assert json.loads(err) == {"error": message, "kind": "domain"}
 
+    @pytest.mark.parametrize("mu", [[], ["--mu", "3"]], ids=["default-mu", "scalar-mu"])
+    def test_negative_dimension_is_a_domain_error(self, capsys, mu):
+        code, out, err = run_cli(
+            ["sample", "--family", "qgauss", "--m", "-1", "--q", "1.2", *mu, "--n", "5",
+             "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "dimension must be a positive integer, got -1", "kind": "domain"
+        }
+
+    @pytest.mark.parametrize("mu, message", [
+        ("1,x", "bad --mu value: could not convert string to float: 'x'"),
+        ("1,2,3", "--mu needs 1 or 2 values, got 3"),
+        ("nan", "mu entries must be finite"),
+    ], ids=["bad-token", "wrong-count", "nan"])
+    def test_bad_mu_refused(self, capsys, mu, message):
+        code, out, err = run_cli(
+            ["sample", "--family", "qgauss", "--m", "2", "--q", "1.2", "--mu", mu, "--n", "5",
+             "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": message, "kind": "domain"}
+
+    def test_scalar_mu_shifts_every_column(self, capsys):
+        args = ["sample", "--family", "qgauss", "--m", "3", "--q", "0.5", "--n", "20",
+                "--seed", "4"]
+        code, plain, _ = run_cli(args, capsys)
+        code_mu, shifted, _ = run_cli([*args, "--mu", "3"], capsys)
+        assert code == code_mu == 0
+        plain_rows, shifted_rows = (
+            np.array([line.split(",") for line in text.splitlines()], float)
+            for text in (plain, shifted))
+        assert np.array_equal(shifted_rows, plain_rows + 3.0)
+
     def test_zero_draws_write_nothing(self, capsys, tmp_path):
         args = ["sample", "--family", "gg", "--m", "2", "--s", "2", "--n", "0", "--seed", "5"]
         assert run_cli(args, capsys) == (0, "", "")
@@ -154,6 +187,15 @@ class TestSample:
             ["sample", "--family", "qgauss", "--m", "2", "--q", "1.2",
              "--sigma", str(sigma), "--n", "10", "--seed", "1"], capsys)
         assert code == 1
+
+    def test_sigma_file_of_wrong_shape_refused(self, capsys, tmp_path):
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        code, out, err = run_cli(
+            ["sample", "--family", "qgauss", "--m", "2", "--q", "1.2",
+             "--sigma", str(sigma), "--n", "10", "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "--sigma file must be 2x2, got 3x3", "kind": "domain"}
 
 
 class TestEntropy:
@@ -366,6 +408,20 @@ class TestGof:
             ["gof", "--in", str(data), "--family", "t1", "--q", "1.2", "--k", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flags, code, kind, message", [
+        (["--simulate", "50"], 2, "config", "--simulate requires --seed"),
+        (["--simulate", "1", "--seed", "1"], 1, "domain",
+         "simulation budget must be at least 2 replications"),
+        (["--simulate", "50", "--seed", "1", "--alpha", "0.6"], 1, "domain",
+         "alpha must lie in (0, 0.5], got 0.6"),
+    ], ids=["simulate-without-seed", "simulate-1", "alpha-0.6"])
+    def test_simulation_and_alpha_refused(self, capsys, tmp_path, flags, code, kind, message):
+        data = self.make_data(tmp_path)
+        result = run_cli(
+            ["gof", "--in", str(data), "--family", "t1", "--q", "1.2", "--k", "1", *flags], capsys)
+        assert result[:2] == (code, "")
+        assert json.loads(result[2]) == {"error": message, "kind": kind}
+
     def test_infeasible_q_exit_1(self, capsys, tmp_path):
         data = self.make_data(tmp_path)
         code, _, err = run_cli(
@@ -373,6 +429,24 @@ class TestGof:
              "--simulate", "50", "--seed", "1"], capsys)
         assert code == 1
         assert "1 + 2/(m+2)" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["entropy", "--k", "x", "--q", "0.5", "--in", "f.csv"],
+     "tsgof entropy: argument --k: invalid int value: 'x'"),
+    (["entropy", "--k", "1", "--in", "f.csv"],
+     "tsgof entropy: the following arguments are required: --q"),
+    (["frob"], "tsgof: argument command: invalid choice: 'frob'"),
+    ([], "tsgof: the following arguments are required: command"),
+], ids=["bad-int", "missing-flag", "unknown-subcommand", "no-subcommand"])
+def test_usage_error_exit_2_config(capsys, args, message):
+    # argparse's message after the command's name, in place of its usage text;
+    # an invalid choice lists the choices in a format that varies with Python
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert error["kind"] == "config" and error["error"].startswith(message)
 
 
 @pytest.mark.parametrize("command, name, text", [
@@ -544,6 +618,36 @@ class TestExperimentCommands:
         assert error["kind"] == "config" and expected in error["error"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "command, edits, message",
+        [
+            ("critical-values", [("kind = critical-values", "kind = frob")],
+             "unknown experiment kind 'frob' (expected one of ('critical-values', "
+             "'normality-sweep', 'convergence', 'consistency-curves', 'distribution-shape'))"),
+            ("critical-values", [("family = t1", "family = t3")],
+             "unknown family 't3' (expected one of ('t1', 't2'))"),
+            ("convergence", [("critical-values", "convergence"), ("M = 100", "M = 1")],
+             "M must be at least 2"),
+            ("critical-values", [("alpha = 0.05", "alpha = 0.6")],
+             "alpha must lie in (0, 0.5], got 0.6"),
+            ("shape", [("critical-values", "distribution-shape"), ("M = 100", "M = 20\ndraws = 1")],
+             "draws must be at least 2"),
+            ("critical-values", [("[grid]", "[grids]")], "{cfg}:7: unknown section '[grids]'"),
+        ],
+        ids=["kind", "family", "M-below-2", "alpha", "draws", "section"],
+    )
+    def test_config_refusals_in_full(self, capsys, tmp_path, command, edits, message):
+        text = TINY_CONFIG
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli([command, "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message.format(cfg=cfg), "kind": "config"}
+        assert not out_dir.exists()
+
     def test_workers_default_is_one_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("TSGOF_WORKERS", "2")
         args = build_parser().parse_args(["critical-values", "--config", "x.cfg"])
@@ -699,8 +803,9 @@ class TestExperimentCommands:
     def test_no_out_dir_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cv.cfg"
         cfg.write_text(TINY_CONFIG)
-        code, _, _ = run_cli(["critical-values", "--config", str(cfg)], capsys)
-        assert code == 2
+        code, out, err = run_cli(["critical-values", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "no output directory: pass --out", "kind": "config"}
 
     @pytest.mark.parametrize("key", ["m", "k"])
     def test_grid_value_below_one_exit_2(self, capsys, tmp_path, key):

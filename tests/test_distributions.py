@@ -331,6 +331,39 @@ class TestQGaussCovariance:
         assert infeasibility_reason("t1", below, m) is None
         assert qgauss_covariance_factor(m, below) == 2.0 / (2.0 + (1.0 - below) * (m + 2.0))
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 10])
+    def test_refusals_past_normalizability_are_the_feasibility_reason(self, m):
+        bound = 1.0 + 2.0 / m
+        for q in (bound, 0.5 * (bound + 3.0)):
+            reason = infeasibility_reason("t1", q, m)
+            assert reason.startswith("not normalizable")
+            with pytest.raises(InfeasibleModelError) as params_err:
+                QGaussianParams(m, q)
+            with pytest.raises(InfeasibleModelError) as factor_err:
+                qgauss_covariance_factor(m, q)
+            assert str(params_err.value) == str(factor_err.value) == reason
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    def test_refusal_between_the_bounds_is_the_feasibility_reason(self, m):
+        low, high = 1.0 + 2.0 / (m + 2.0), 1.0 + 2.0 / m
+        for q in (low, 0.5 * (low + high)):
+            reason = infeasibility_reason("t1", q, m)
+            assert reason.startswith("covariance bridge")
+            with pytest.raises(InfeasibleModelError) as err:
+                qgauss_covariance_factor(m, q)
+            assert str(err.value) == reason
+
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_closed_forms_are_finite_just_inside_both_bounds(self, m):
+        # the radial Beta integrals converge wherever the two bounds admit q,
+        # so the closed forms need no divergence check of their own
+        for bound in (1.0 + 2.0 / m, 1.0 + 2.0 / (m + 2.0)):
+            params = QGaussianParams(m, math.nextafter(bound, 1.0))
+            assert math.isfinite(qgauss_q_integral(params))
+            assert math.isfinite(qgauss_tsallis_entropy(params))
+        q = math.nextafter(1.0 + 2.0 / (m + 2.0), 1.0)
+        assert np.isfinite(qgauss_null_entropies(np.eye(m)[None], q)).all()
+
     def test_compact_branch_monte_carlo(self):
         params = QGaussianParams(m=1, q=0.5)
         draws = qgauss_sample(params, 200_000, RngStream(31, 0))

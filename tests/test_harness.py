@@ -204,6 +204,12 @@ class TestConfigParsing:
         assert config.grids[0].qs == (1.2, 1.3)
         assert config.grids[0].ns == (50, 60)
 
+    def test_no_grid_block_is_refused(self):
+        # parse_config refuses a config without [grid] first; only the API reaches this
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="convergence", grids=())
+        assert str(err.value) == "at least one [grid] block is required"
+
     def test_critical_values_m_floor(self):
         with pytest.raises(ConfigError):
             tiny_config(replications=50)

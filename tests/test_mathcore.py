@@ -99,6 +99,11 @@ class TestRngStream:
         with pytest.raises(DomainError):
             RngStream(0, 2**64)
 
+    def test_negative_child_index_is_refused_by_the_constructor(self):
+        with pytest.raises(DomainError) as err:
+            RngStream(1).child(-1)
+        assert str(err.value) == "master_seed and stream_index must be unsigned 64-bit integers"
+
 
 class TestContentIndex:
     def test_pinned_value(self):
