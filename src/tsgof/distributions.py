@@ -14,14 +14,14 @@ Both are elliptical. Conventions used throughout:
   Student-t with dof = 2/(q-1) - m, normalizable only while that dof is
   positive (q < 1 + 2/m). The covariance exists for q < 1 + 2/(m+2), and
   equals qgauss_covariance_factor(m, q) * Sigma on both branches. Both
-  bounds are stated once, in _qgauss_tail_bound. q = 1 is admitted as the
-  Gaussian limit for sampling only; the order-q entropy functions require q != 1.
+  bounds and the finite-q rule are stated once, in _qgauss_tail_bound. q = 1
+  is the Gaussian limit, for sampling; the entropies take mathcore._check_order.
 
 Closed-form q-integrals (integral of f^q) and Tsallis entropies
-H_q = (integral(f^q) - 1) / (1 - q) come from the radial Beta reduction and
-are cross-checked against adaptive quadrature in the test suite. The null
-half of the statistic Q, the entropy of the index-q member at each sample
-covariance of a stack, is `qgauss_null_entropies`.
+H_q = (integral(f^q) - 1) / (1 - q) come from one radial Beta reduction for
+both branches and are cross-checked against adaptive quadrature in the test
+suite. The null half of the statistic Q, the entropy of the index-q member
+at each sample covariance of a stack, is `qgauss_null_entropies`.
 """
 
 import math
@@ -32,7 +32,7 @@ from scipy.special import betaln, gammaln
 
 from .errors import DomainError, InfeasibleModelError
 from .linalg import SymPDMatrix, log_det
-from .mathcore import RngStream, _positive_integer
+from .mathcore import RngStream, _check_order, _positive_integer
 
 
 def _as_location(vec, m: int, name: str) -> np.ndarray:
@@ -61,6 +61,8 @@ def _as_shape_matrix(sigma, m: int) -> SymPDMatrix:
 
 def _qgauss_tail_bound(m: int, q: float, covariance: bool = False) -> str | None:
     """Why the index-q member in R^m has no density or, with covariance, no covariance."""
+    if not math.isfinite(q):
+        return f"entropic index q must be finite, got {q!r}"
     if not q > 1:
         return None
     if not q < 1.0 + 2.0 / m:
@@ -99,8 +101,6 @@ class QGaussianParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_integer(self.m, "dimension"))
-        if not np.isfinite(self.q):
-            raise DomainError(f"entropic index q must be finite, got {self.q!r}")
         if reason := _qgauss_tail_bound(self.m, self.q):
             raise InfeasibleModelError(reason)
         object.__setattr__(self, "mu", _as_location(self.mu, self.m, "mu"))
@@ -124,6 +124,8 @@ def gg_variance_scale(m: int, s: float) -> float:
     _positive_integer(m, "dimension")
     if not (s > 0):
         raise DomainError(f"shape exponent s must be positive, got {s!r}")
+    if math.isinf(s):
+        raise DomainError("the generalized Gaussian variance scale needs a finite s, got s=inf")
     return math.exp(
         (2.0 / s) * math.log(2.0) + gammaln((m + 2.0) / s) - math.log(m) - gammaln(m / s)
     )
@@ -189,13 +191,6 @@ def _gg_log_q_integral(m: int, s: float, log_det_sigma: float, q: float) -> floa
     return (1.0 - q) * log_c - (m / s) * math.log(q)
 
 
-def _check_order(q: float):
-    if not (q > 0) or not np.isfinite(q):
-        raise DomainError(f"entropy order q must be positive and finite, got {q!r}")
-    if q == 1:
-        raise DomainError("entropy order q = 1 is excluded (Shannon case out of scope)")
-
-
 def _from_log_q_integral(log_iq: float, name: str, q: float | None = None) -> float:
     """I_q = exp(log_iq), or given q (I_q - 1)/(1 - q); past float64, DomainError."""
     try:
@@ -228,33 +223,22 @@ def gg_tsallis_entropy(m: int, s: float, sigma, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_sphere_area(m: int) -> float:
-    # surface area of the unit sphere in R^m
-    return math.log(2.0) + 0.5 * m * math.log(math.pi) - gammaln(0.5 * m)
-
-
 def _qgauss_log_radial(m: int, q: float, exponent_num: float) -> float:
-    """log of integral_0^R r^(m-1) [1 - (1-q) r^2 / 2]_+^(exponent_num/(1-q)) dr.
-
-    exponent_num is 1 for the normalization constant and q for the
-    q-integral. Both branches reduce to a Beta function:
-      q < 1: (1/2) a^(-m/2) B(m/2, p + 1),        a = (1-q)/2, p = exponent_num/(1-q)
-      q > 1: (1/2) a^(-m/2) B(m/2, p' - m/2),     a = (q-1)/2, p' = exponent_num/(q-1)
-    the second converging only for p' > m/2, which _qgauss_tail_bound ensures.
-    """
-    if q < 1:
-        a = 0.5 * (1.0 - q)
-        p = exponent_num / (1.0 - q)
-        return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p + 1.0)
-    a = 0.5 * (q - 1.0)
-    p = exponent_num / (q - 1.0)
-    return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p - 0.5 * m)
+    """log of integral_0^R r^(m-1) [1 - (1-q) r^2 / 2]_+^(exponent_num/(1-q)) dr,
+    exponent_num being 1 for the normalization constant and q for the q-integral.
+    It is (1/2) a^(-m/2) B(m/2, b) on both branches, with a = |1-q|/2,
+    p = exponent_num/|1-q| and b = p + 1 for q < 1 or p - m/2 for q > 1;
+    the second converges only for p > m/2, which _qgauss_tail_bound ensures."""
+    a = 0.5 * abs(1.0 - q)
+    p = exponent_num / abs(1.0 - q)
+    b = p + 1.0 if q < 1 else p - 0.5 * m
+    return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, b)
 
 
 def _qgauss_log_q_integral(m: int, q: float, log_det_sigma):
     """log integral(f^q) of the index-q member in R^m, for log_det_sigma a
     float or an array of them; q must have passed _check_order."""
-    area = _log_sphere_area(m)
+    area = math.log(2.0) + 0.5 * m * math.log(math.pi) - gammaln(0.5 * m)  # unit sphere in R^m
     radial_1 = _qgauss_log_radial(m, q, 1.0)
     radial_q = _qgauss_log_radial(m, q, q)
     # q * log C_q + log[det(Sigma)^(1/2) * sphere area * radial integral of order q]

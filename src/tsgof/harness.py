@@ -119,13 +119,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {self.family!r} (expected one of {FAMILIES})")
         if not self.grids:
             raise ConfigError("at least one [grid] block is required")
-        if not 0 <= self.master_seed <= MASK64:
-            raise ConfigError(f"master_seed must lie in [0, 2**64 - 1], got {self.master_seed}")
+        if not 0 <= self.master_seed <= MASK64 or self.master_seed % 1:
+            raise ConfigError(
+                f"master_seed must be an integer in [0, 2**64 - 1], got {self.master_seed}"
+            )
         for block in self.grids:
             if not all(math.isfinite(q) for q in block.qs):
                 raise ConfigError(f"grid key 'q' must be finite, got {block.qs}")
-            for key, values in (("m", block.ms), ("k", block.ks)):
-                if any(v < 1 for v in values):
+            for key, values in (("m", block.ms), ("k", block.ks), ("N", block.ns)):
+                if any(v % 1 for v in values):
+                    raise ConfigError(f"grid key {key!r} must be integers, got {values}")
+                if key != "N" and any(v < 1 for v in values):
                     raise ConfigError(f"grid key {key!r} must be at least 1, got {min(values)}")
         if self.kind == "critical-values" and self.replications < _TABLE_MIN_M:
             raise ConfigError(f"critical-value tables require M >= {_TABLE_MIN_M} replications")

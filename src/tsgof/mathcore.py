@@ -55,7 +55,8 @@ class RngStream:
     __slots__ = ("master_seed", "stream_index", "generator")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        if not (0 <= master_seed <= MASK64 and 0 <= stream_index <= MASK64):
+        if not (0 <= master_seed <= MASK64 and 0 <= stream_index <= MASK64
+                and master_seed % 1 == 0 and stream_index % 1 == 0):
             raise DomainError("master_seed and stream_index must be unsigned 64-bit integers")
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)
@@ -81,6 +82,13 @@ def _positive_integer(value, name: str) -> int:
     if int(value) != value or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _check_order(q: float):
+    if not (q > 0) or not np.isfinite(q):
+        raise DomainError(f"entropy order q must be positive and finite, got {q!r}")
+    if q == 1:
+        raise DomainError("entropy order q = 1 is excluded (Shannon case out of scope)")
 
 
 def unit_ball_volume(m: int) -> float:

@@ -8,7 +8,10 @@ Beta reduction or the Cholesky of the closed forms under test. The
 quadrature oracles integrate these densities (and their q-th powers), and
 the normalization checks (integral of exp(log_pdf) must be 1) pin the
 densities themselves, so together the checks validate the q-integral
-algebra against an independent route.
+algebra against an independent route. `qgauss_log_radial_two_branch`
+is not independent: it is the radial Beta log written once per branch,
+the reference that the package's one expression for both branches must
+match bit for bit.
 
 The per-sample references at the end restate the test statistic one
 sample at a time, apart from the block evaluation the package uses: the
@@ -21,6 +24,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import betaln
 
 from tsgof.distributions import (
     GGParams,
@@ -85,6 +89,22 @@ def qgauss_log_pdf(x, params: QGaussianParams) -> float:
     if bracket <= 0.0:
         return -math.inf
     return -log_mass - half_log_det + math.log(bracket) / (1.0 - q)
+
+
+def qgauss_log_radial_two_branch(m: int, q: float, exponent_num: float) -> float:
+    """The radial Beta log of `distributions._qgauss_log_radial`, written
+    once per branch, as the package wrote it before one expression in |1-q|
+    served both:
+      q < 1: (1/2) a^(-m/2) B(m/2, p + 1),    a = (1-q)/2, p = exponent_num/(1-q)
+      q > 1: (1/2) a^(-m/2) B(m/2, p - m/2),  a = (q-1)/2, p = exponent_num/(q-1)
+    """
+    if q < 1:
+        a = 0.5 * (1.0 - q)
+        p = exponent_num / (1.0 - q)
+        return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p + 1.0)
+    a = 0.5 * (q - 1.0)
+    p = exponent_num / (q - 1.0)
+    return math.log(0.5) - 0.5 * m * math.log(a) + betaln(0.5 * m, p - 0.5 * m)
 
 
 def _integrate_1d(f, radius):

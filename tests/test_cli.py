@@ -237,6 +237,20 @@ class TestEntropy:
             "error": "k must be an integer in [1, N-1] = [1, 1], got 2", "kind": "domain"
         }
 
+    @pytest.mark.parametrize("q, message", [
+        ("1", "entropy order q = 1 is excluded (Shannon case out of scope)"),
+        ("0", "entropy order q must be positive and finite, got 0.0"),
+        ("-1", "entropy order q must be positive and finite, got -1.0"),
+        ("nan", "entropy order q must be positive and finite, got nan"),
+        ("inf", "entropy order q must be positive and finite, got inf"),
+    ], ids=["one", "zero", "negative", "nan", "inf"])
+    def test_order_refusals_in_full(self, capsys, tmp_path, q, message):
+        data = tmp_path / "two.csv"
+        data.write_text("0.0\n1.0\n")
+        code, out, err = run_cli(["entropy", "--in", str(data), "--k", "1", f"--q={q}"], capsys)
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": message, "kind": "domain"}) + "\n"
+
     def test_unit_ball_volume_underflow_exits_domain(self, capsys, tmp_path):
         # V_m underflows float64 from m = 453
         data = tmp_path / "wide.csv"
@@ -633,8 +647,10 @@ class TestExperimentCommands:
             ("shape", [("critical-values", "distribution-shape"), ("M = 100", "M = 20\ndraws = 1")],
              "draws must be at least 2"),
             ("critical-values", [("[grid]", "[grids]")], "{cfg}:7: unknown section '[grids]'"),
+            ("critical-values", [("master_seed = 99", "master_seed = -1")],
+             "master_seed must be an integer in [0, 2**64 - 1], got -1"),
         ],
-        ids=["kind", "family", "M-below-2", "alpha", "draws", "section"],
+        ids=["kind", "family", "M-below-2", "alpha", "draws", "section", "master-seed"],
     )
     def test_config_refusals_in_full(self, capsys, tmp_path, command, edits, message):
         text = TINY_CONFIG

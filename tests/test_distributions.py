@@ -9,12 +9,14 @@ from oracles import (
     gg_log_pdf,
     pdf_power_integral_quadrature,
     qgauss_log_pdf,
+    qgauss_log_radial_two_branch,
     radial_cdf_from_log_pdf,
 )
 from tsgof.errors import DomainError, InfeasibleModelError, NotPositiveDefiniteError
 from tsgof.distributions import (
     GGParams,
     QGaussianParams,
+    _qgauss_log_radial,
     gg_q_integral,
     gg_sample,
     gg_tsallis_entropy,
@@ -95,6 +97,14 @@ class TestGGVarianceScale:
     def test_hand_values(self):
         assert gg_variance_scale(1, 1.0) == pytest.approx(8.0, rel=1e-12)
         assert gg_variance_scale(2, 1.0) == pytest.approx(12.0, rel=1e-12)
+
+    def test_infinite_s_is_refused_without_a_warning(self):
+        # GGParams admits s = inf; the scale's Gamma ratio cannot evaluate it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                gg_variance_scale(2, math.inf)
+        assert str(err.value) == "the generalized Gaussian variance scale needs a finite s, got s=inf"
 
 
 class TestGGSample:
@@ -201,6 +211,16 @@ class TestQGaussianParams:
         p = QGaussianParams(m=3, q=1.0)
         assert p.m == 3
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_index_is_refused_by_the_tail_bound_rule(self, q):
+        # unchecked, the covariance factor is nan at q = nan and 0.0 at q = -inf
+        message = f"entropic index q must be finite, got {q!r}"
+        with pytest.raises(InfeasibleModelError) as params_err:
+            QGaussianParams(m=2, q=q)
+        with pytest.raises(InfeasibleModelError) as factor_err:
+            qgauss_covariance_factor(2, q)
+        assert str(params_err.value) == str(factor_err.value) == message
+
 
 class TestQGaussNormConst:
     # the oracle density's normalizer, at its peak and by quadrature
@@ -263,6 +283,23 @@ class TestQGaussLogPdf:
                 assert qgauss_log_pdf(x, params) == pytest.approx(ref.logpdf(x), abs=1e-10)
 
 
+class TestQGaussLogRadial:
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_one_expression_has_the_bits_of_the_two_branches(self, m):
+        # every q the closed forms admit: the compact branch, both sides of 1,
+        # and each tail bound with the float just inside it
+        normalizable, covariance = 1.0 + 2.0 / m, 1.0 + 2.0 / (m + 2.0)
+        qs = [5e-324, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-6, math.nextafter(1.0, 0.0),
+              math.nextafter(1.0, 2.0), 1.0 + 1e-6, math.nextafter(covariance, 1.0), covariance,
+              math.nextafter(covariance, 3.0), 0.5 * (covariance + normalizable),
+              math.nextafter(normalizable, 1.0)]
+        for q in qs:
+            for exponent_num in (1.0, q):
+                got = _qgauss_log_radial(m, q, exponent_num)
+                assert got == qgauss_log_radial_two_branch(m, q, exponent_num), (q, exponent_num)
+                assert math.isfinite(got)
+
+
 class TestQGaussQIntegralAndEntropy:
     def test_compact_branch_against_quadrature(self):
         params = QGaussianParams(m=1, q=0.5)
@@ -298,8 +335,9 @@ class TestQGaussQIntegralAndEntropy:
             qgauss_q_integral(QGaussianParams(m=2, q=2.5))
 
     def test_entropy_rejects_q_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             qgauss_tsallis_entropy(QGaussianParams(m=1, q=1.0))
+        assert str(err.value) == "entropy order q = 1 is excluded (Shannon case out of scope)"
 
 
 class TestQGaussCovariance:

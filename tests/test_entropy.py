@@ -40,6 +40,42 @@ class TestBiasConstant:
             knn_bias_constant(0, 0.5)
 
 
+# the one entropy-order rule, in the words each of its callers reports
+ORDER_REFUSALS = [
+    (1.0, "entropy order q = 1 is excluded (Shannon case out of scope)"),
+    (0.0, "entropy order q must be positive and finite, got 0.0"),
+    (-1.0, "entropy order q must be positive and finite, got -1.0"),
+    (math.nan, "entropy order q must be positive and finite, got nan"),
+    (math.inf, "entropy order q must be positive and finite, got inf"),
+]
+ORDER_IDS = [repr(q) for q, _ in ORDER_REFUSALS]
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize("q, message", ORDER_REFUSALS, ids=ORDER_IDS)
+    def test_bias_constant_refusals_in_full(self, q, message):
+        with pytest.raises(DomainError) as err:
+            knn_bias_constant(1, q)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("q, message", ORDER_REFUSALS, ids=ORDER_IDS)
+    def test_consistency_conditions_refusals_in_full(self, q, message):
+        # unchecked, q = inf gives a report with every condition False
+        with pytest.raises(DomainError) as err:
+            check_consistency_conditions(math.inf, m=2, q=q)
+        assert str(err.value) == message
+
+    def test_estimator_bound_keeps_its_words(self):
+        with pytest.raises(DomainError) as err:
+            knn_bias_constant(2, 3.0)
+        assert str(err.value) == "order q must satisfy 0 < q < k+1 = 3, got 3.0"
+
+    def test_integer_rule_comes_first(self):
+        with pytest.raises(DomainError) as err:
+            knn_bias_constant(0, math.nan)
+        assert str(err.value) == "k must be a positive integer, got 0"
+
+
 class TestWorkedExample:
     def test_two_points_exact(self):
         est = tsallis_knn_estimate([[0.0], [1.0]], k=1, q=0.5)

@@ -210,6 +210,31 @@ class TestConfigParsing:
             ExperimentConfig(kind="convergence", grids=())
         assert str(err.value) == "at least one [grid] block is required"
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(master_seed=3.5), "master_seed must be an integer in [0, 2**64 - 1], got 3.5"),
+        (dict(master_seed=-1), "master_seed must be an integer in [0, 2**64 - 1], got -1"),
+        (dict(grids=(GridBlock(qs=(1.2,), ms=(2.5,), ks=(1,), ns=(60,)),)),
+         "grid key 'm' must be integers, got (2.5,)"),
+        (dict(grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1, 1.5), ns=(60,)),)),
+         "grid key 'k' must be integers, got (1, 1.5)"),
+        (dict(grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(100.5,)),)),
+         "grid key 'N' must be integers, got (100.5,)"),
+        (dict(grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(math.nan,)),)),
+         "grid key 'N' must be integers, got (nan,)"),
+    ], ids=["seed", "negative-seed", "m", "k", "N", "N-nan"])
+    def test_non_integral_identifiers_are_refused(self, overrides, message):
+        # API only: parse_config casts these keys to int. Unchecked, a master_seed
+        # of 3.5 draws seed 3's streams and writes 3.5 beside them, and N = 100.5
+        # ends in a ValueError from islice
+        with pytest.raises(ConfigError) as err:
+            tiny_config(**overrides)
+        assert str(err.value) == message
+
+    def test_integral_numpy_identifiers_are_accepted(self):
+        block = GridBlock(qs=(1.2,), ms=(np.int64(2),), ks=(np.int64(1),), ns=(np.int64(60),))
+        config = tiny_config(grids=(block,), master_seed=np.uint64(7))
+        assert config.cells() == [(1.2, 2, 1, 60)]
+
     def test_critical_values_m_floor(self):
         with pytest.raises(ConfigError):
             tiny_config(replications=50)

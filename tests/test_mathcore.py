@@ -104,6 +104,22 @@ class TestRngStream:
             RngStream(1).child(-1)
         assert str(err.value) == "master_seed and stream_index must be unsigned 64-bit integers"
 
+    @pytest.mark.parametrize("make", [
+        lambda: RngStream(1.5), lambda: RngStream(1, 2.5), lambda: RngStream(1).child(1.5),
+    ], ids=["seed", "index", "child"])
+    def test_non_integral_identifier_is_refused(self, make):
+        # a truncated identifier would hand the caller another stream's sequence
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == "master_seed and stream_index must be unsigned 64-bit integers"
+
+    def test_numpy_integer_identifiers_are_accepted(self):
+        stream = RngStream(np.uint64(77), np.int64(3))
+        assert (stream.master_seed, stream.stream_index) == (77, 3)
+        assert type(stream.master_seed) is int and type(stream.stream_index) is int
+        expected = RngStream(77, 3).child(5).generator.random(8)
+        assert np.array_equal(stream.child(np.int32(5)).generator.random(8), expected)
+
 
 class TestContentIndex:
     def test_pinned_value(self):
