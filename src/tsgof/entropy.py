@@ -6,14 +6,14 @@ with rho_i the distance from X_i to its k-th nearest neighbor,
     i_hat = (1/N) sum_i [ (N-1) * C(k, q) * V_m * rho_i^m ]^(1-q)
 
 estimates integral(f^q), and the Tsallis entropy estimate is
-h_hat = (1 - i_hat)/(q - 1). C(k, q) is the Gamma-ratio bias constant and
-V_m the unit-ball volume. The order q obeys the one entropy-order rule,
-mathcore._check_order (q > 0, finite and q != 1), and q < k + 1. The
-per-point terms are evaluated in log space, which keeps tiny neighbor
-distances from underflowing rho^m, and summed with exact rounding
-(`mathcore.exact_sums`), so the estimate does not depend on point order.
-`lps_block(samples, ks, q)`, the one evaluation path, maps a stack of
-samples to i_hat at several k with one exact_sums call;
+h_hat = (1 - i_hat)/(q - 1). C(k, q) is the Gamma-ratio bias constant and V_m
+the unit-ball volume. The order q obeys mathcore._check_order (q > 0, finite
+and q != 1); the estimator's q < k + 1 and N > k are mathcore._estimator_bound,
+refused in the words of gof.infeasibility_reason. The per-point terms are
+evaluated in log space, which keeps tiny neighbor distances from underflowing
+rho^m, and summed with exact rounding (`mathcore.exact_sums`), so the estimate
+does not depend on point order. `lps_block(samples, ks, q)`, the one evaluation
+path, maps a stack of samples to i_hat at several k with one exact_sums call;
 `tsallis_knn_estimate` and the test statistic both call it.
 """
 
@@ -26,7 +26,7 @@ from scipy.special import gammaln
 from .errors import DegenerateSampleError, DomainError
 from .knn import knn_distances
 from .linalg import as_sample_matrix
-from .mathcore import _check_order, _positive_integer, exact_sums, unit_ball_volume
+from .mathcore import _check_order, _estimator_bound, _positive_integer, exact_sums, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def knn_bias_constant(k: int, q: float) -> float:
     """
     _positive_integer(k, "k")
     _check_order(q)
-    if not q < k + 1:
-        raise DomainError(f"order q must satisfy 0 < q < k+1 = {k + 1}, got {q!r}")
+    if reason := _estimator_bound(k, q):
+        raise DomainError(reason)
     return math.exp((gammaln(k) - gammaln(k + 1.0 - q)) / (1.0 - q))
 
 

@@ -14,9 +14,9 @@ Gaussian and 9.578 for the Laplace-type generalized Gaussian (s = 1). So Q
 can be negative under an alternative, and the test then does not reject
 it.
 
-Two null branches are supported: 't1', the heavy-tailed q-Gaussian, and
-'t2', the compact-support q-Gaussian. `infeasibility_reason` is the one
-feasibility rule for both; t1's two tail bounds come from `distributions`.
+Two null branches: 't1', the heavy-tailed q-Gaussian, and 't2', the compact
+one. `infeasibility_reason` is the one feasibility rule for both; t1's tail
+bounds come from `distributions`, the estimator's bound from `mathcore`.
 
 The observed Q and every null replicate go through one function of a
 stack of samples. Its null half is `distributions.qgauss_null_entropies`
@@ -32,10 +32,10 @@ from itertools import islice
 import numpy as np
 
 from .distributions import QGaussianParams, _qgauss_tail_bound, qgauss_null_entropies, qgauss_sample
-from .entropy import knn_bias_constant, lps_block
+from .entropy import lps_block
 from .errors import ConfigError, DomainError, InfeasibleModelError
 from .linalg import as_sample_matrix, sample_moments
-from .mathcore import RngStream
+from .mathcore import RngStream, _estimator_bound, _positive_integer
 from .statkit import empirical_quantile
 
 FAMILIES = ("t1", "t2")
@@ -81,10 +81,8 @@ def infeasibility_reason(
         return f"family t1 requires q in (1, 3), got q={q}"
     if reason := _qgauss_tail_bound(m, q):
         return reason
-    if k is not None and not q < k + 1:
-        return f"estimator requires q < k + 1 = {k + 1}, got q={q}"
-    if k is not None and not n > k:
-        return f"estimator requires N > k, got N={n}, k={k}"
+    if k is not None and (reason := _estimator_bound(k, q, n)):
+        return reason
     if bridge and (reason := _qgauss_tail_bound(m, q, covariance=True)):
         return reason
     if bridge and n is not None and not n > m:
@@ -96,9 +94,9 @@ def _checked_ks(ks, q: float, m: int, n: int, family: str, statistic: bool) -> t
     """The ks as ints, once each is a positive integer that infeasibility_reason
     accepts at (q, m, N), at its statistic stage if statistic; or InfeasibleModelError."""
     for k in ks:
+        _positive_integer(k, "k")
         if reason := infeasibility_reason(family, q, m, k, n, bridge=statistic):
             raise InfeasibleModelError(reason)
-        knn_bias_constant(k, q)  # validates k before the query
     return tuple(int(k) for k in ks)
 
 
@@ -110,10 +108,9 @@ def _block_values(samples: np.ndarray, ks: tuple, q: float, statistic: bool) -> 
     rank-deficient sample raises NotPositiveDefiniteError even if it also
     has duplicates. The ks must have passed _checked_ks.
     """
-    if not statistic:
-        return (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
-    upper = qgauss_null_entropies(sample_moments(samples)[1], q)
-    return upper[:, None] - (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
+    upper = qgauss_null_entropies(sample_moments(samples)[1], q) if statistic else None
+    h_hat = (1.0 - lps_block(samples, ks, q)) / (q - 1.0)
+    return h_hat if upper is None else upper[:, None] - h_hat
 
 
 def gof_statistic(x, k: int, q: float, family: str) -> TestResult:

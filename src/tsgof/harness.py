@@ -144,6 +144,14 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie in (0, 0.5], got {self.alpha}")
         if self.draws < 2:
             raise ConfigError("draws must be at least 2")
+        for key, v in (("M", self.replications), ("n", self.inner_batch), ("draws", self.draws)):
+            if v % 1:
+                raise ConfigError(f"{key} must be an integer, got {v}")
+        for name in ("master_seed", "replications", "inner_batch", "draws"):  # ints hash as JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
+        grids = [GridBlock(b.qs, *(tuple(map(int, v)) for v in (b.ms, b.ks, b.ns)))
+                 for b in self.grids]
+        object.__setattr__(self, "grids", tuple(grids))
 
     def cells(self) -> list[tuple]:
         """Row-major (q, m, k, N) cells over all grid blocks, in file order."""

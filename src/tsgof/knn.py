@@ -1,12 +1,12 @@
-"""Exact k-th nearest-neighbor Euclidean distances for all points of a
-static dataset.
+"""Exact k-th nearest-neighbor Euclidean distances for all points of a sample.
 
-`knn_distances` is the one entry point the package uses: a sorted window
-for one-dimensional samples and a kd-tree query otherwise. Both, and the
-O(N^2) all-pairs oracle the tests keep, accumulate squared coordinate
-differences in fixed coordinate order before the final square root, so
-their outputs agree bit-for-bit; with ties broken by point index the k-th
-distance is the k-th element of the same total order either way.
+`knn_distances` is the one entry point the package uses: a sorted window for
+one-dimensional samples and a kd-tree query otherwise. It refuses k and N in
+the words of gof.infeasibility_reason (mathcore._estimator_bound). Both paths,
+and the O(N^2) all-pairs oracle the tests keep, accumulate squared coordinate
+differences in fixed coordinate order before the final square root, so their
+outputs agree bit-for-bit; with ties broken by point index the k-th distance is
+the k-th element of the same total order either way.
 """
 
 import numpy as np
@@ -15,12 +15,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DomainError
 from .linalg import as_sample_matrix
-
-
-def _check_k(k: int, n: int) -> int:
-    if int(k) != k or not (1 <= k <= n - 1):
-        raise DomainError(f"k must be an integer in [1, N-1] = [1, {n - 1}], got {k!r}")
-    return int(k)
+from .mathcore import _estimator_bound, _positive_integer
 
 
 def knn_distances(x, k: int) -> np.ndarray:
@@ -36,7 +31,9 @@ def knn_distances(x, k: int) -> np.ndarray:
     """
     a = as_sample_matrix(x)
     n, m = a.shape
-    k = _check_k(k, n)
+    k = _positive_integer(k, "k")
+    if reason := _estimator_bound(k, n=n):
+        raise DomainError(reason)
     if m > 1:
         dist, _ = cKDTree(a).query(a, k=k + 1)
         return dist[:, 1:]

@@ -9,6 +9,7 @@ what it simulates, and workers never share state.
 """
 
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -79,7 +80,7 @@ class RngStream:
 
 def _positive_integer(value, name: str) -> int:
     """int(value); a DomainError naming name when value is not a positive integer."""
-    if int(value) != value or value < 1:
+    if not (isinstance(value, numbers.Real) and 1 <= value < math.inf and value % 1 == 0):
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -89,6 +90,15 @@ def _check_order(q: float):
         raise DomainError(f"entropy order q must be positive and finite, got {q!r}")
     if q == 1:
         raise DomainError("entropy order q = 1 is excluded (Shannon case out of scope)")
+
+
+def _estimator_bound(k: int, q: float | None = None, n: int | None = None) -> str | None:
+    """Why the neighbor estimator refuses integer k >= 1 at (q, N), or None: q < k + 1, N > k."""
+    if q is not None and not q < k + 1:
+        return f"estimator requires q < k + 1 = {k + 1}, got q={q}"
+    if n is not None and not n > k:
+        return f"estimator requires N > k, got N={n}, k={k}"
+    return None
 
 
 def unit_ball_volume(m: int) -> float:

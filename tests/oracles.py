@@ -35,9 +35,8 @@ from tsgof.distributions import (
 from tsgof.entropy import knn_bias_constant
 from tsgof.errors import DomainError, InfeasibleModelError, NotPositiveDefiniteError
 from tsgof.gof import infeasibility_reason
-from tsgof.knn import _check_k
 from tsgof.linalg import SymPDMatrix, as_sample_matrix
-from tsgof.mathcore import unit_ball_volume
+from tsgof.mathcore import _estimator_bound, _positive_integer, unit_ball_volume
 
 # cap on the scratch distance block (floats) used by the brute force
 _BRUTE_BLOCK_FLOATS = 1 << 23
@@ -258,7 +257,9 @@ def knn_distances_bruteforce(x, k: int) -> np.ndarray:
     """
     a = as_sample_matrix(x)
     n, m = a.shape
-    k = _check_k(k, n)
+    k = _positive_integer(k, "k")
+    if reason := _estimator_bound(k, n=n):
+        raise DomainError(reason)
     out = np.empty((n, k))
     block = max(1, _BRUTE_BLOCK_FLOATS // n)
     for start in range(0, n, block):

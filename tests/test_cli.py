@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from tsgof import cli, harness
 from tsgof.cli import build_parser, main, read_matrix_csv
-from tsgof.errors import ConfigError
+from tsgof.entropy import knn_bias_constant
+from tsgof.errors import ConfigError, DomainError
+from tsgof.gof import infeasibility_reason
+from tsgof.knn import knn_distances
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -234,7 +237,7 @@ class TestEntropy:
         code, out, err = run_cli(["entropy", "--in", str(data), "--k", "2", "--q", "0.5"], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "k must be an integer in [1, N-1] = [1, 1], got 2", "kind": "domain"
+            "error": "estimator requires N > k, got N=2, k=2", "kind": "domain"
         }
 
     @pytest.mark.parametrize("q, message", [
@@ -443,6 +446,33 @@ class TestGof:
              "--simulate", "50", "--seed", "1"], capsys)
         assert code == 1
         assert "1 + 2/(m+2)" in json.loads(err)["error"]
+
+
+# the estimator's bound, N > k and q < k + 1, at (family, q, m, k, N); the
+# direct call is the estimator stage's own refusal of that bound
+ESTIMATOR_REFUSALS = {
+    "n-not-above-k": ("t2", 0.5, 2, 5, 5, lambda x: knn_distances(x, 5),
+                      "estimator requires N > k, got N=5, k=5"),
+    "q-not-below-k-plus-one": ("t1", 2.5, 1, 1, 20, lambda x: knn_bias_constant(1, 2.5),
+                               "estimator requires q < k + 1 = 2, got q=2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATOR_REFUSALS))
+def test_estimator_bound_refuses_in_one_wording(capsys, tmp_path, case):
+    family, q, m, k, n, direct, message = ESTIMATOR_REFUSALS[case]
+    x = np.random.default_rng(25).standard_normal((n, m))
+    data = tmp_path / "x.csv"
+    np.savetxt(data, x, delimiter=",")
+    flags = ["--k", str(k), "--q", str(q), "--in", str(data)]
+    line = json.dumps({"error": message, "kind": "domain"}) + "\n"
+    assert run_cli(["entropy", *flags], capsys) == (1, "", line)
+    gof = ["gof", *flags, "--family", family, "--simulate", "3", "--seed", "3"]
+    assert run_cli(gof, capsys) == (1, "", line)
+    with pytest.raises(DomainError) as err:
+        direct(x)
+    assert str(err.value) == message
+    assert infeasibility_reason(family, q, m, k, n) == message
 
 
 @pytest.mark.parametrize("args, message", [

@@ -68,7 +68,7 @@ class TestOrderRule:
     def test_estimator_bound_keeps_its_words(self):
         with pytest.raises(DomainError) as err:
             knn_bias_constant(2, 3.0)
-        assert str(err.value) == "order q must satisfy 0 < q < k+1 = 3, got 3.0"
+        assert str(err.value) == "estimator requires q < k + 1 = 3, got q=3.0"
 
     def test_integer_rule_comes_first(self):
         with pytest.raises(DomainError) as err:

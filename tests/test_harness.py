@@ -235,6 +235,31 @@ class TestConfigParsing:
         config = tiny_config(grids=(block,), master_seed=np.uint64(7))
         assert config.cells() == [(1.2, 2, 1, 60)]
 
+    def test_numpy_integer_config_hashes_and_runs_as_python_ints(self, tmp_path):
+        # unconverted, json.dumps refuses the numpy integers in config_hash
+        block = GridBlock(qs=(1.2,), ms=(np.int64(2),), ks=(np.int64(1),), ns=(np.int64(60),))
+        config = tiny_config(grids=(block,), master_seed=np.uint64(7), replications=np.int64(100))
+        plain = tiny_config(grids=(GridBlock(qs=(1.2,), ms=(2,), ks=(1,), ns=(60,)),))
+        assert config == plain and config.config_hash() == plain.config_hash()
+        run_experiment(config, out_dir=tmp_path / "numpy", workers=1)
+        run_experiment(plain, out_dir=tmp_path / "plain", workers=1)
+        for name in ("critical_values.csv", "critical_values_manifest.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(replications=100.5), "M must be an integer, got 100.5"),
+        (dict(replications=math.inf), "M must be an integer, got inf"),
+        (dict(kind="normality-sweep", inner_batch=20.5), "n must be an integer, got 20.5"),
+        (dict(kind="distribution-shape", draws=5000.5), "draws must be an integer, got 5000.5"),
+        (dict(draws=math.nan), "draws must be an integer, got nan"),
+    ], ids=["M", "M-inf", "n", "draws", "draws-nan"])
+    def test_non_integral_counts_are_refused(self, overrides, message):
+        # API only: parse_config casts these keys to int. Unchecked, a fractional
+        # count passes the range checks and a task ends in a TypeError
+        with pytest.raises(ConfigError) as err:
+            tiny_config(**overrides)
+        assert str(err.value) == message
+
     def test_critical_values_m_floor(self):
         with pytest.raises(ConfigError):
             tiny_config(replications=50)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tsgof.distributions import GGParams, QGaussianParams, gg_variance_scale, qgauss_covariance_factor
 from tsgof.entropy import check_consistency_conditions, knn_bias_constant
 from tsgof.errors import DomainError
+from tsgof.knn import knn_distances
 from tsgof.linalg import SymPDMatrix
 from tsgof.mathcore import RngStream, content_index, exact_sums, unit_ball_volume
 
@@ -18,6 +19,7 @@ POSITIVE_INTEGER_SITES = {
     "gg_variance_scale.m": ("dimension", lambda v: gg_variance_scale(v, 2.0)),
     "qgauss_covariance_factor.m": ("dimension", lambda v: qgauss_covariance_factor(v, 0.5)),
     "knn_bias_constant.k": ("k", lambda v: knn_bias_constant(v, 0.5)),
+    "knn_distances.k": ("k", lambda v: knn_distances(np.arange(6.0)[:, None], v)),
     "check_consistency_conditions.m": (
         "dimension", lambda v: check_consistency_conditions(math.inf, v, 0.5, 1)),
     "check_consistency_conditions.k": (
@@ -28,8 +30,9 @@ POSITIVE_INTEGER_SITES = {
 
 
 @pytest.mark.parametrize("site", sorted(POSITIVE_INTEGER_SITES))
-@pytest.mark.parametrize("bad", [0, -1, 2.5])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan, math.inf, -math.inf, "3"])
 def test_positive_integer_rule_refuses_with_one_message(site, bad):
+    # nan and inf are compared, not converted: int() of them raises its own error
     name, call = POSITIVE_INTEGER_SITES[site]
     with pytest.raises(DomainError) as exc:
         call(bad)
